@@ -17,7 +17,8 @@ import argparse
 import sys
 
 from .epoly import ModuliParams, closed_e, euler_variant, mirror_difference, variant_betti
-from .filtration import BudgetExceededError, Criterion, falsification_search
+from .filtration import (
+    BudgetExceededError, Criterion, count_search_tables, falsification_search)
 from .hitchin import endoscopic_bound, verify_pw
 from .hookchar import evar_from_types
 from .laurent import LaurentPoly
@@ -175,7 +176,8 @@ def cmd_ksearch(args: argparse.Namespace) -> int:
         which = [Criterion(args.criterion)]
     m_range = range(args.m_min, args.m_max + 1)
     k_range = range(args.k_min, args.k_max + 1)
-    tables = (args.v_max + 1) ** ((args.i_max + 1) * (args.j_max + 1))
+    tables = count_search_tables(args.i_max, args.j_max, args.v_max,
+                                 m_range, k_range, budget=args.budget)
     if args.verbose:
         print(f"scanning {tables} tables per criterion", file=sys.stderr)
 

@@ -25,17 +25,6 @@ class InconsistentFormulaError(ArithmeticError):
     """Two routes to the same quantity disagreed; indicates a bug."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def smallest_prime_factor(n: int) -> int:
     if n < 2:
         raise ValueError("need n >= 2")
@@ -45,6 +34,10 @@ def smallest_prime_factor(n: int) -> int:
             return f
         f += 1
     return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 def require_prime(n: int) -> None:

@@ -11,10 +11,11 @@ definition.
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping
 
 Witness = tuple[str, tuple[int, ...]]
@@ -144,78 +145,72 @@ def is_k_sequence(table: FiltrationTable, m: int, k: int) -> bool:
     return True
 
 
-# Each violation finder returns the lexicographically first witness of
-# failure, or None.  The quantifiers in the conditions are over all of
-# Z, but outside the scanned box both sides of every comparison read 0,
-# so the finite scan is exhaustive.  One extra row/column of margin is
-# scanned anyway as a cheap guard.
+# The conditions of each criterion, as violation finders sharing the
+# signature (table, m, k).  A finder returns the lexicographically first
+# witness of failure, or None.  Both sides of every comparison read 0
+# unless a stored cell or a nonzero row/antidiagonal sum is involved, so
+# walking the support alone finds every failure.
 
 
-def _first_cond_i(table: FiltrationTable, k: int) -> tuple[int, ...] | None:
+def _line_sums(table: FiltrationTable) -> tuple[collections.Counter, collections.Counter]:
+    """Row sums and antidiagonal sums, keyed by row i and by i + j."""
+    rows, diagonals = collections.Counter(), collections.Counter()
+    for (i, j), v in table._cells.items():
+        rows[i] += v
+        diagonals[i + j] += v
+    return rows, diagonals
+
+
+def _first_cond_i(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
     # Nothing strictly left of column k.
-    for (i, j), _ in table.items():
-        if j < k:
-            return (i, j)
-    return None
+    return min(((i, j) for i, j in table._cells if j < k), default=None)
 
 
-def _first_cond_ii(table: FiltrationTable, m: int) -> tuple[int, ...] | None:
+def _first_cond_ii(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
     # Every column symmetric about row m: v[m-i, j] == v[m+i, j].
-    if not table:
-        return None
-    i_hull, j_hull = table.hull()
-    for off in range(1, max(m, i_hull - m) + 2):
-        for j in range(j_hull + 2):
-            if table.get(m - off, j) != table.get(m + off, j):
-                return (off, j)
-    return None
+    get = table._cells.get
+    return min(((abs(i - m), j) for (i, j), v in table._cells.items()
+                if get((2 * m - i, j), 0) != v), default=None)
 
 
 def _first_cond_iii(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
     # Antidiagonal sums symmetric about m + k.
-    if not table:
-        return None
-    i_hull, j_hull = table.hull()
-    t_max = i_hull + j_hull
-    for off in range(1, max(m + k, t_max - m - k) + 2):
-        if table.antidiagonal_sum(m + k - off) != table.antidiagonal_sum(m + k + off):
-            return (off,)
-    return None
+    _, sums = _line_sums(table)
+    c = m + k
+    return min(((abs(t - c),) for t in sums if sums[2 * c - t] != sums[t]), default=None)
 
 
 def _second_cond_i(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
-    # Within column j, rows mirror about m + k - j.
-    if not table:
-        return None
-    i_hull, j_hull = table.hull()
-    for i in range(max(i_hull, 2 * (m + k)) + 2):
-        for j in range(j_hull + 2):
-            if table.get(i, j) != table.get(2 * (m + k - j) - i, j):
-                return (i, j)
-    return None
+    # Within column j, rows mirror about m + k - j.  A failing pair of
+    # rows is witnessed at its smaller row that is >= 0.
+    get = table._cells.get
+    witnesses = []
+    for (i, j), v in table._cells.items():
+        r = 2 * (m + k - j) - i
+        if get((r, j), 0) != v:
+            witnesses.append((min(i, r) if r >= 0 else i, j))
+    return min(witnesses, default=None)
 
 
-def _second_cond_ii(table: FiltrationTable, k: int) -> tuple[int, ...] | None:
-    # Antidiagonal k + l carries the same mass as row l.
-    if not table:
-        return None
-    i_hull, j_hull = table.hull()
-    t_max = i_hull + j_hull
-    for l in range(max(t_max - k, i_hull) + 2):
-        if table.antidiagonal_sum(k + l) != table.row_sum(l):
-            return (l,)
-    return None
+def _second_cond_ii(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
+    # Antidiagonal k + l carries the same mass as row l, for l >= 0.
+    rows, sums = _line_sums(table)
+    ls = set(rows).union(t - k for t in sums if t >= k)
+    return min(((l,) for l in ls if sums[k + l] != rows[l]), default=None)
 
 
-def _second_cond_iii(table: FiltrationTable, m: int) -> tuple[int, ...] | None:
+def _second_cond_iii(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
     # Row sums symmetric about m.
-    if not table:
-        return None
-    i_hull, _ = table.hull()
-    for off in range(1, max(m, i_hull - m) + 2):
-        if table.row_sum(m - off) != table.row_sum(m + off):
-            return (off,)
-    return None
+    rows, _ = _line_sums(table)
+    return min(((abs(i - m),) for i in rows if rows[2 * m - i] != rows[i]), default=None)
+
+
+_CONDITIONS = {
+    Criterion.FIRST: (
+        ("i", _first_cond_i), ("ii", _first_cond_ii), ("iii", _first_cond_iii)),
+    Criterion.SECOND: (
+        ("i", _second_cond_i), ("ii", _second_cond_ii), ("iii", _second_cond_iii)),
+}
 
 
 @dataclass(frozen=True)
@@ -236,88 +231,67 @@ class CriterionReport:
         return self.cond_i and self.cond_ii and self.cond_iii
 
     def to_json_obj(self) -> dict:
-        witness = None
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["criterion"] = self.criterion.value
         if self.first_violation is not None:
             label, where = self.first_violation
-            witness = [label, list(where)]
-        return {
-            "criterion": self.criterion.value,
-            "m": self.m,
-            "k": self.k,
-            "cond_i": self.cond_i,
-            "cond_ii": self.cond_ii,
-            "cond_iii": self.cond_iii,
-            "is_k_seq": self.is_k_seq,
-            "first_violation": witness,
-        }
+            obj["first_violation"] = [label, list(where)]
+        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def _build_report(criterion: Criterion, table: FiltrationTable, m: int, k: int,
-                  witnesses: list[tuple[str, tuple[int, ...] | None]]) -> CriterionReport:
-    flags = {label: w is None for label, w in witnesses}
-    first = next((
-        (label, w) for label, w in witnesses if w is not None), None)
-    return CriterionReport(
-        criterion=criterion, m=m, k=k,
-        cond_i=flags["i"], cond_ii=flags["ii"], cond_iii=flags["iii"],
-        is_k_seq=is_k_sequence(table, m, k),
-        first_violation=first,
-    )
+def _check(criterion: Criterion, table: FiltrationTable, m: int, k: int) -> CriterionReport:
+    _require_mk(m, k)
+    witnesses = [(label, finder(table, m, k)) for label, finder in _CONDITIONS[criterion]]
+    failed = [(label, where) for label, where in witnesses if where is not None]
+    return CriterionReport(criterion, m, k, *(where is None for _, where in witnesses),
+                           is_k_sequence(table, m, k), failed[0] if failed else None)
 
 
 def check_first_criterion(table: FiltrationTable, m: int, k: int) -> CriterionReport:
     """Column support bound, columnwise symmetry, antidiagonal symmetry."""
-    _require_mk(m, k)
-    return _build_report(Criterion.FIRST, table, m, k, [
-        ("i", _first_cond_i(table, k)),
-        ("ii", _first_cond_ii(table, m)),
-        ("iii", _first_cond_iii(table, m, k)),
-    ])
+    return _check(Criterion.FIRST, table, m, k)
 
 
 def check_second_criterion(table: FiltrationTable, m: int, k: int) -> CriterionReport:
     """Skew mirror within columns, antidiagonal/row matching, row symmetry."""
-    _require_mk(m, k)
-    return _build_report(Criterion.SECOND, table, m, k, [
-        ("i", _second_cond_i(table, m, k)),
-        ("ii", _second_cond_ii(table, k)),
-        ("iii", _second_cond_iii(table, m)),
-    ])
+    return _check(Criterion.SECOND, table, m, k)
 
 
-_CHECKERS = {
-    Criterion.FIRST: check_first_criterion,
-    Criterion.SECOND: check_second_criterion,
-}
+def count_search_tables(i_max: int, j_max: int, v_max: int, m_range: Iterable[int],
+                        k_range: Iterable[int], budget: int = 10 ** 7) -> int:
+    """Number of tables `falsification_search` enumerates on this grid.
 
-# Same conditions as the reports, uniform (table, m, k) signature, for
-# the early-exit path inside the search loop.
-_VIOLATION_FINDERS = {
-    Criterion.FIRST: (
-        lambda table, m, k: _first_cond_i(table, k),
-        lambda table, m, k: _first_cond_ii(table, m),
-        lambda table, m, k: _first_cond_iii(table, m, k),
-    ),
-    Criterion.SECOND: (
-        lambda table, m, k: _second_cond_i(table, m, k),
-        lambda table, m, k: _second_cond_ii(table, k),
-        lambda table, m, k: _second_cond_iii(table, m),
-    ),
-}
+    Validates the arguments as the search does and raises
+    BudgetExceededError if tables x |m_range| x |k_range| exceeds the
+    budget.  The count stops growing once it is over, so no cell list
+    and no number much larger than the budget is built.
+    """
+    if i_max < 0 or j_max < 0 or v_max < 0:
+        raise ValueError("grid bounds must be nonnegative")
+    ms, ks = set(m_range), set(k_range)
+    for m in ms:
+        _require_mk(m, 0)
+    for k in ks:
+        _require_mk(1, k)
+    if not ms or not ks:
+        raise ValueError("m_range and k_range must be nonempty")
+    cases = len(ms) * len(ks)
+    tables, cells = 1, (i_max + 1) * (j_max + 1)
+    while v_max and cells and tables * cases <= budget:
+        tables *= v_max + 1
+        cells -= 1
+    if tables * cases > budget:
+        raise BudgetExceededError(
+            f"search would visit more cases than the budget of {budget}")
+    return tables
 
 
-def falsification_search(
-    which: Criterion,
-    i_max: int,
-    j_max: int,
-    v_max: int,
-    m_range: Iterable[int],
-    k_range: Iterable[int],
-    budget: int = 10 ** 7,
-) -> list[tuple[FiltrationTable, int, int]]:
+def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
+                         m_range: Iterable[int], k_range: Iterable[int],
+                         budget: int = 10 ** 7) -> list[tuple[FiltrationTable, int, int]]:
     """Enumerate every table on [0..i_max] x [0..j_max] with entries in
     [0..v_max] and return those satisfying all conditions of the chosen
     criterion without being a k-sequence.
@@ -326,31 +300,19 @@ def falsification_search(
     The total number of (table, m, k) triples is checked against the
     budget before any work happens.
     """
-    if i_max < 0 or j_max < 0 or v_max < 0:
-        raise ValueError("grid bounds must be nonnegative")
     ms = sorted(set(m_range))
     ks = sorted(set(k_range))
-    for m in ms:
-        _require_mk(m, 0)
-    for k in ks:
-        _require_mk(1, k)
-    if not ms or not ks:
-        raise ValueError("m_range and k_range must be nonempty")
+    count_search_tables(i_max, j_max, v_max, ms, ks, budget)
 
     cells = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)]
-    total = (v_max + 1) ** len(cells) * len(ms) * len(ks)
-    if total > budget:
-        raise BudgetExceededError(
-            f"search would visit {total} cases, over the budget of {budget}")
-
-    finders = _VIOLATION_FINDERS[which]
+    conditions = _CONDITIONS[which]
     found: list[tuple[FiltrationTable, int, int]] = []
     for values in itertools.product(range(v_max + 1), repeat=len(cells)):
         table = FiltrationTable({
             cell: v for cell, v in zip(cells, values) if v})
         for m in ms:
             for k in ks:
-                if any(finder(table, m, k) is not None for finder in finders):
+                if any(finder(table, m, k) is not None for _, finder in conditions):
                     continue
                 if not is_k_sequence(table, m, k):
                     found.append((table, m, k))

@@ -144,10 +144,6 @@ class LaurentPoly:
         """Coefficient of q**(twice/2)."""
         return self._c.get(twice, _ZERO)
 
-    def coeff_q(self, exponent: int) -> Fraction:
-        """Coefficient of q**exponent for an integer exponent."""
-        return self._c.get(2 * exponent, _ZERO)
-
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         """(twice-exponent, coefficient) pairs in increasing exponent order."""
         for twice in sorted(self._c):

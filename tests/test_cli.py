@@ -122,6 +122,15 @@ def test_ksearch_budget_exit(capsys):
     assert "error:" in err
 
 
+def test_ksearch_budget_exit_on_a_huge_box(capsys):
+    # 10**4356 tables: the count must not be built, nor printed
+    code, out, err = run(capsys, "ksearch", "--i-max", "65", "--j-max", "65",
+                         "--v-max", "9")
+    assert code == 2
+    assert out == ""
+    assert err == "error: search would visit more cases than the budget of 10000000\n"
+
+
 def test_composite_rank_exit(capsys):
     code, _, err = run(capsys, "epoly", "--n", "4", "--g", "2")
     assert code == 2

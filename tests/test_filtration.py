@@ -1,7 +1,11 @@
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pwcheck.filtration as filtration
 from pwcheck.filtration import (
     BudgetExceededError,
     Criterion,
@@ -154,6 +158,52 @@ def test_criteria_conditions_imply_k_sequence(cells, m, k):
             assert report.is_k_seq
 
 
+# Every index at which either side of a comparison can be nonzero is
+# below 20 for tables on [0..5] x [0..4] with m <= 5 and k <= 4.
+BOX = 24
+
+
+def reference_witnesses(cells, m, k):
+    """Each condition's first failing index, from its definition."""
+    def v(i, j):
+        return cells.get((i, j), 0)
+
+    def row(i):
+        return sum(v(i, j) for j in range(BOX))
+
+    def diag(t):
+        return sum(v(i, t - i) for i in range(t + 1))
+
+    def first(fails, *ranges):
+        return next((w for w in itertools.product(*ranges) if fails(*w)), None)
+
+    nat, pos = range(BOX), range(1, BOX)
+    return {
+        ("first", "i"): first(lambda i, j: j < k and v(i, j), nat, nat),
+        ("first", "ii"): first(lambda o, j: v(m - o, j) != v(m + o, j), pos, nat),
+        ("first", "iii"): first(lambda o: diag(m + k - o) != diag(m + k + o), pos),
+        ("second", "i"): first(lambda i, j: v(i, j) != v(2 * (m + k - j) - i, j), nat, nat),
+        ("second", "ii"): first(lambda l: diag(k + l) != row(l), nat),
+        ("second", "iii"): first(lambda o: row(m - o) != row(m + o), pos),
+    }
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 4)),
+        st.integers(1, 3), max_size=10),
+    st.integers(1, 5),
+    st.integers(0, 4),
+)
+@settings(deadline=None)
+def test_every_condition_reports_its_first_witness(cells, m, k):
+    table = FiltrationTable(cells)
+    expected = reference_witnesses(cells, m, k)
+    for criterion, conditions in filtration._CONDITIONS.items():
+        for label, finder in conditions:
+            assert finder(table, m, k) == expected[(criterion.value, label)]
+
+
 def test_search_finds_nothing_on_the_small_grid():
     for criterion in Criterion:
         hits = falsification_search(criterion, 2, 1, 1, range(1, 3), range(0, 2))
@@ -163,6 +213,19 @@ def test_search_finds_nothing_on_the_small_grid():
 def test_search_budget_guard():
     with pytest.raises(BudgetExceededError):
         falsification_search(Criterion.FIRST, 5, 5, 3, [1], [0], budget=100)
+
+
+def test_search_budget_guard_builds_nothing_large():
+    # 2**(10**6) tables: the guard must fire before a cell list or the
+    # full case count exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="budget of 10000000"):
+            falsification_search(Criterion.FIRST, 999, 999, 1, [1], [0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_search_argument_validation():
@@ -177,11 +240,9 @@ def test_search_argument_validation():
 def test_search_reports_planted_counterexample(monkeypatch):
     # cripple one condition and verify the search machinery notices the
     # tables that now slip through
-    import pwcheck.filtration as filtration
-
-    finders = dict(filtration._VIOLATION_FINDERS)
-    finders[Criterion.FIRST] = finders[Criterion.FIRST][:1]
-    monkeypatch.setattr(filtration, "_VIOLATION_FINDERS", finders)
+    conditions = dict(filtration._CONDITIONS)
+    conditions[Criterion.FIRST] = conditions[Criterion.FIRST][:1]
+    monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
     hits = falsification_search(Criterion.FIRST, 1, 1, 1, [1], [1])
     assert hits
     for table, m, k in hits:
