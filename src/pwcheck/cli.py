@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .epoly import ModuliParams, closed_e, euler_variant, mirror_difference, variant_betti
+from .epoly import (
+    ModuliParams, closed_e, euler_variant, mirror_difference, require_prime, variant_betti)
 from .filtration import (
     BudgetExceededError, Criterion, count_search_tables, falsification_search)
 from .hitchin import endoscopic_bound, verify_pw
@@ -141,7 +142,9 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks = _verify_checks(_params(args))
+    params = _params(args)
+    require_prime(params.n)
+    checks = _verify_checks(params)
     failed = [name for name, ok, _ in checks if not ok]
     if args.format == "json":
         import json

@@ -124,7 +124,10 @@ def mirror_difference(params: ModuliParams) -> BiLaurentPoly:
     s_v = BiLaurentPoly.from_uv_powers({(0, e): 1 for e in range(n)})
     m = params.half_dim
     prefix = BiLaurentPoly.from_uv_powers({(m, m): 1})
-    bracket = (u_minus_1 * v_minus_1) ** ((n - 1) * (g - 1)) - (s_u * s_v) ** (g - 1)
+    # Each power has one variable, so its size grows linearly; the two
+    # products are outer products of univariate factors.
+    a, b = (n - 1) * (g - 1), g - 1
+    bracket = u_minus_1 ** a * v_minus_1 ** a - s_u ** b * s_v ** b
     return scale * prefix * bracket
 
 

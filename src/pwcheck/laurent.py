@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Any, Iterator, Mapping, TypeVar, Union
 
 Rational = Fraction
 # A "HalfExp" is an int holding twice the actual exponent.
@@ -26,6 +26,8 @@ HalfExp = int
 CoeffLike = Union[int, str, Fraction]
 
 _ZERO = Fraction(0)
+
+_P = TypeVar("_P", bound="_SparsePoly")
 
 
 class EvalDomainError(ValueError):
@@ -88,7 +90,110 @@ def _format_terms(pairs: list[tuple[str, Fraction]]) -> str:
     return " ".join(out) if out else "0"
 
 
-class LaurentPoly:
+class _SparsePoly:
+    """Immutable map from exponent keys to nonzero Fraction coefficients.
+
+    The code of LaurentPoly and BiLaurentPoly that does not depend on the
+    number of variables.  A subclass sets ``_key``, which normalises a
+    key, and ``_UNIT``, the key of the constant term.
+    """
+
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs: Mapping[Any, CoeffLike] | None = None):
+        data: dict[Any, Fraction] = {}
+        if coeffs:
+            key = self._key
+            for k, value in coeffs.items():
+                c = _coerce(value)
+                if c:
+                    data[key(k)] = c
+        object.__setattr__(self, "_c", data)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls: type[_P]) -> _P:
+        return cls()
+
+    @classmethod
+    def one(cls: type[_P]) -> _P:
+        return cls({cls._UNIT: 1})
+
+    def terms(self) -> Iterator[tuple[Any, Fraction]]:
+        """(key, coefficient) pairs in increasing key order."""
+        for key in sorted(self._c):
+            yield key, self._c[key]
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def _as_poly(self: _P, other: object) -> _P | None:
+        """other as this class, an int or Fraction as a constant, else None."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return type(self)({self._UNIT: other})
+        return None
+
+    def __eq__(self, other: object) -> bool:
+        rhs = self._as_poly(other)
+        if rhs is None:
+            return NotImplemented
+        return self._c == rhs._c
+
+    def __hash__(self) -> int:
+        # A constant hashes like the scalar it equals.
+        if self._c.keys() <= {self._UNIT}:
+            return hash(self._c.get(self._UNIT, 0))
+        return hash(tuple(sorted(self._c.items())))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{k}: {c!r}" for k, c in sorted(self._c.items()))
+        return f"{type(self).__name__}({{{inner}}})"
+
+    def __neg__(self: _P) -> _P:
+        return type(self)({k: -c for k, c in self._c.items()})
+
+    def __sub__(self: _P, other: object) -> _P:
+        rhs = self._as_poly(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self: _P, other: object) -> _P:
+        rhs = self._as_poly(other)
+        if rhs is None:
+            return NotImplemented
+        return rhs + (-self)
+
+    def _power(self: _P, n: int) -> _P:
+        """Nonnegative integer power by binary exponentiation.
+
+        >>> print(LaurentPoly.from_q_powers({1: 1, 0: -1}) ** 3)
+        q^3 - 3*q^2 + 3*q - 1
+        """
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls: type[_P], text: str) -> _P:
+        return cls.from_json_obj(json.loads(text))
+
+
+class LaurentPoly(_SparsePoly):
     """Immutable sparse Laurent polynomial in q with half-integer exponents.
 
     The constructor takes a mapping from twice-exponents to coefficients.
@@ -100,29 +205,11 @@ class LaurentPoly:
     False
     """
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping[int, CoeffLike] | None = None):
-        data: dict[int, Fraction] = {}
-        if coeffs:
-            for twice, value in coeffs.items():
-                c = _coerce(value)
-                if c:
-                    data[int(twice)] = c
-        object.__setattr__(self, "_c", data)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LaurentPoly is immutable")
+    __slots__ = ()
+    _key = int
+    _UNIT = 0
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
 
     @classmethod
     def monomial(cls, twice: int, coeff: CoeffLike = 1) -> "LaurentPoly":
@@ -144,11 +231,6 @@ class LaurentPoly:
         """Coefficient of q**(twice/2)."""
         return self._c.get(twice, _ZERO)
 
-    def terms(self) -> Iterator[tuple[int, Fraction]]:
-        """(twice-exponent, coefficient) pairs in increasing exponent order."""
-        for twice in sorted(self._c):
-            yield twice, self._c[twice]
-
     def degree_bounds(self) -> tuple[int, int]:
         """(min, max) twice-exponent of the support; raises on zero."""
         if not self._c:
@@ -169,39 +251,11 @@ class LaurentPoly:
             raise ParityError("polynomial has half-integer exponents")
         return {t // 2: c for t, c in sorted(self._c.items())}
 
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self._c == other._c
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly({0: other})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if not self._c:
-            return hash(0)
-        if len(self._c) == 1 and 0 in self._c:
-            return hash(self._c[0])
-        return hash(tuple(sorted(self._c.items())))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{t}: {c!r}" for t, c in sorted(self._c.items()))
-        return f"LaurentPoly({{{inner}}})"
-
     def __str__(self) -> str:
         pairs = [(_format_q_power(t), c) for t, c in sorted(self._c.items(), reverse=True)]
         return _format_terms(pairs)
 
     # -- ring operations ---------------------------------------------
-
-    def _as_poly(self, other: object) -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly({0: other})
-        return None
 
     def __add__(self, other: object) -> "LaurentPoly":
         rhs = self._as_poly(other)
@@ -213,21 +267,6 @@ class LaurentPoly:
         return LaurentPoly(data)
 
     __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({t: -c for t, c in self._c.items()})
-
-    def __sub__(self, other: object) -> "LaurentPoly":
-        rhs = self._as_poly(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> "LaurentPoly":
-        rhs = self._as_poly(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
 
     def __mul__(self, other: object) -> "LaurentPoly":
         rhs = self._as_poly(other)
@@ -243,21 +282,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        """Nonnegative integer power by binary exponentiation.
-
-        >>> print(LaurentPoly.from_q_powers({1: 1, 0: -1}) ** 3)
-        q^3 - 3*q^2 + 3*q - 1
-        """
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self._power(n)
 
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor; InexactDivisionError on remainder.
@@ -344,15 +369,8 @@ class LaurentPoly:
     def from_json_obj(cls, obj: list) -> "LaurentPoly":
         return cls({int(t): Fraction(c) for t, c in obj})
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "LaurentPoly":
-        return cls.from_json_obj(json.loads(text))
-
-
-class BiLaurentPoly:
+class BiLaurentPoly(_SparsePoly):
     """Sparse Laurent polynomial in two variables u, v.
 
     Keys are (twice-u-exponent, twice-v-exponent) pairs.
@@ -364,28 +382,13 @@ class BiLaurentPoly:
     0
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    _UNIT = (0, 0)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], CoeffLike] | None = None):
-        data: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for key, value in coeffs.items():
-                tu, tv = key
-                c = _coerce(value)
-                if c:
-                    data[(int(tu), int(tv))] = c
-        object.__setattr__(self, "_c", data)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BiLaurentPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "BiLaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BiLaurentPoly":
-        return cls({(0, 0): 1})
+    @staticmethod
+    def _key(key: tuple[int, int]) -> tuple[int, int]:
+        tu, tv = key
+        return int(tu), int(tv)
 
     @classmethod
     def from_uv_powers(cls, coeffs: Mapping[tuple[int, int], CoeffLike]) -> "BiLaurentPoly":
@@ -394,31 +397,6 @@ class BiLaurentPoly:
 
     def coeff(self, twice_u: int, twice_v: int) -> Fraction:
         return self._c.get((twice_u, twice_v), _ZERO)
-
-    def terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        for key in sorted(self._c):
-            yield key, self._c[key]
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BiLaurentPoly):
-            return self._c == other._c
-        if isinstance(other, (int, Fraction)):
-            return self == BiLaurentPoly({(0, 0): other})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if not self._c:
-            return hash(0)
-        if len(self._c) == 1 and (0, 0) in self._c:
-            return hash(self._c[(0, 0)])
-        return hash(tuple(sorted(self._c.items())))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {c!r}" for k, c in sorted(self._c.items()))
-        return f"BiLaurentPoly({{{inner}}})"
 
     def __str__(self) -> str:
         def power(key: tuple[int, int]) -> str:
@@ -430,13 +408,6 @@ class BiLaurentPoly:
                        reverse=True)
         return _format_terms([(power(k), c) for k, c in order])
 
-    def _as_poly(self, other: object) -> "BiLaurentPoly | None":
-        if isinstance(other, BiLaurentPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BiLaurentPoly({(0, 0): other})
-        return None
-
     def __add__(self, other: object) -> "BiLaurentPoly":
         rhs = self._as_poly(other)
         if rhs is None:
@@ -447,21 +418,6 @@ class BiLaurentPoly:
         return BiLaurentPoly(data)
 
     __radd__ = __add__
-
-    def __neg__(self) -> "BiLaurentPoly":
-        return BiLaurentPoly({k: -c for k, c in self._c.items()})
-
-    def __sub__(self, other: object) -> "BiLaurentPoly":
-        rhs = self._as_poly(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> "BiLaurentPoly":
-        rhs = self._as_poly(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
 
     def __mul__(self, other: object) -> "BiLaurentPoly":
         rhs = self._as_poly(other)
@@ -477,16 +433,7 @@ class BiLaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiLaurentPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = BiLaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self._power(n)
 
     def swap(self) -> "BiLaurentPoly":
         """Exchange the two variables."""
@@ -510,10 +457,3 @@ class BiLaurentPoly:
     @classmethod
     def from_json_obj(cls, obj: list) -> "BiLaurentPoly":
         return cls({(int(a), int(b)): Fraction(c) for a, b, c in obj})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "BiLaurentPoly":
-        return cls.from_json_obj(json.loads(text))

@@ -137,6 +137,13 @@ def test_composite_rank_exit(capsys):
     assert "not prime" in err
 
 
+def test_verify_rejects_composite_rank_before_any_check(capsys):
+    code, out, err = run(capsys, "verify", "--n", "4", "--g", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rank 4 is not prime\n"
+
+
 def test_bad_degree_exit(capsys):
     code, _, err = run(capsys, "betti", "--n", "3", "--g", "2", "--d", "6")
     assert code == 2

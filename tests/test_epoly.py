@@ -104,6 +104,22 @@ def test_mirror_difference_small_case():
     assert got == BiLaurentPoly.from_uv_powers({(4, 3): -15, (3, 4): -15})
 
 
+@pytest.mark.parametrize("n,g", [(3, 2), (5, 2), (3, 3), (2, 4)])
+def test_mirror_difference_matches_the_dense_formula(n, g):
+    # The docstring's formula, with the bivariate factors multiplied out
+    # before they are raised to a power.
+    u_minus_1 = BiLaurentPoly.from_uv_powers({(1, 0): 1, (0, 0): -1})
+    v_minus_1 = BiLaurentPoly.from_uv_powers({(0, 1): 1, (0, 0): -1})
+    s_u = BiLaurentPoly.from_uv_powers({(e, 0): 1 for e in range(n)})
+    s_v = BiLaurentPoly.from_uv_powers({(0, e): 1 for e in range(n)})
+    m = (n * n - 1) * (g - 1)
+    expected = (Fraction(n ** (2 * g) - 1, n)
+                * BiLaurentPoly.from_uv_powers({(m, m): 1})
+                * ((u_minus_1 * v_minus_1) ** ((n - 1) * (g - 1))
+                   - (s_u * s_v) ** (g - 1)))
+    assert mirror_difference(make_params(n, g)) == expected
+
+
 @pytest.mark.parametrize("n,g", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3)])
 def test_mirror_difference_diagonal_and_symmetry(n, g):
     params = make_params(n, g)

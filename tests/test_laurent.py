@@ -153,6 +153,48 @@ def test_bivariate_swap_distributes_over_product(a, b):
     assert (a * b).swap() == a.swap() * b.swap()
 
 
+SHARED_CORE_CASES = [
+    (LaurentPoly, {4: 3, 0: "1/2"},
+     "LaurentPoly({0: Fraction(1, 2), 4: Fraction(3, 1)})"),
+    (BiLaurentPoly, {(2, 0): 3, (0, 0): "1/2"},
+     "BiLaurentPoly({(0, 0): Fraction(1, 2), (2, 0): Fraction(3, 1)})"),
+]
+
+
+@pytest.mark.parametrize("cls,coeffs,expected_repr", SHARED_CORE_CASES)
+def test_shared_core(cls, coeffs, expected_repr):
+    p = cls(coeffs)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        p._c = {}
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        p.other = 1
+    assert not hasattr(p, "__dict__")
+    three = cls.one() * 3
+    assert three == 3 and hash(three) == hash(3)
+    assert three == Fraction(3) and three != 4
+    assert hash(cls.zero()) == hash(0)
+    assert type(cls.zero()) is cls and not cls.zero()
+    assert type(cls.one()) is cls and cls.one() == 1
+    assert type(-p) is cls and type(1 - p) is cls and type(p ** 2) is cls
+    assert repr(p) == expected_repr
+    assert repr(cls.zero()) == f"{cls.__name__}({{}})"
+    assert cls.from_json(p.to_json()) == p
+
+
+def test_polynomials_in_different_variables_never_compare_equal():
+    assert LaurentPoly({}) != BiLaurentPoly({})
+    assert LaurentPoly.one() != BiLaurentPoly.one()
+    with pytest.raises(TypeError):
+        LaurentPoly.one() + BiLaurentPoly.one()
+
+
+def test_pow_rejects_a_bad_exponent():
+    for p in (LaurentPoly.one(), BiLaurentPoly.one()):
+        for n in (-1, 1.0, "2"):
+            with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+                p ** n
+
+
 @given(bipolys)
 def test_bivariate_json_round_trip(p):
     assert BiLaurentPoly.from_json(p.to_json()) == p
