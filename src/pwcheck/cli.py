@@ -8,31 +8,24 @@ Verbs:
   ksearch  exhaustive counterexample search for the criteria
 
 Exit codes: 0 all good, 1 a verification failed or a counterexample
-was found, 2 usage or domain error.
+was found, 2 usage or domain error or an unwritable --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .epoly import (
     ModuliParams, closed_e, euler_variant, mirror_difference, require_prime, variant_betti)
-from .filtration import (
-    BudgetExceededError, Criterion, count_search_tables, falsification_search)
+from .filtration import Criterion, count_search_tables, falsification_search
 from .hitchin import endoscopic_bound, verify_pw
 from .hookchar import evar_from_types
 from .laurent import LaurentPoly
 
-
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# Each cmd_* returns (exit code, output for --format): a JSON-ready object
+# for json, the text otherwise. Only main renders and writes it.
 
 
 def _params(args: argparse.Namespace) -> ModuliParams:
@@ -45,45 +38,35 @@ def _params(args: argparse.Namespace) -> ModuliParams:
     return params
 
 
-def _poly_csv(poly: LaurentPoly) -> str:
-    lines = ["twice_exponent,coefficient"]
-    lines += [f"{t},{c}" for t, c in poly.terms()]
-    return "\n".join(lines) + "\n"
-
-
-def cmd_epoly(args: argparse.Namespace) -> int:
+def cmd_epoly(args: argparse.Namespace) -> tuple[int, object]:
     poly = closed_e(_params(args))
     if args.format == "json":
-        _emit(poly.to_json(), args.out)
-    elif args.format == "csv":
-        _emit(_poly_csv(poly), args.out)
-    else:
-        _emit(str(poly), args.out)
-    return 0
+        return 0, poly.to_json_obj()
+    if args.format == "csv":
+        return 0, "\n".join(["twice_exponent,coefficient",
+                             *(f"{t},{c}" for t, c in poly.terms())])
+    return 0, str(poly)
 
 
-def cmd_betti(args: argparse.Namespace) -> int:
+def cmd_betti(args: argparse.Namespace) -> tuple[int, object]:
     profile = variant_betti(_params(args))
     if args.format == "json":
-        _emit(profile.to_json(), args.out)
-    elif args.format == "csv":
-        _emit(profile.to_csv(), args.out)
-    else:
-        lines = [f"H^{d}: {v}" for d, v in profile.items()]
-        lines.append(f"total: {profile.total()}")
-        _emit("\n".join(lines), args.out)
-    return 0
+        return 0, profile.to_json_obj()
+    if args.format == "csv":
+        return 0, profile.to_csv()
+    lines = [f"H^{d}: {v}" for d, v in profile.items()]
+    lines.append(f"total: {profile.total()}")
+    return 0, "\n".join(lines)
 
 
-def cmd_pw(args: argparse.Namespace) -> int:
+def cmd_pw(args: argparse.Namespace) -> tuple[int, object]:
     report = verify_pw(_params(args))
+    code = 0 if report.holds else 1
     if args.format == "json":
-        _emit(report.to_json(), args.out)
-    elif args.format == "csv":
-        _emit(report.perverse.to_csv(), args.out)
-    else:
-        _emit(report.summary(), args.out)
-    return 0 if report.holds else 1
+        return code, report.to_json_obj()
+    if args.format == "csv":
+        return code, report.perverse.to_csv()
+    return code, report.summary()
 
 
 def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
@@ -94,7 +77,7 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
         try:
             ok, detail = fn()
         except Exception as exc:  # keep going; report the check as failed
-            ok, detail = False, f"error: {exc}"
+            ok, detail = False, f"error: {type(exc).__name__}: {exc}"
         checks.append((name, ok, detail))
 
     def palindromic():
@@ -141,42 +124,36 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, object]:
     params = _params(args)
     require_prime(params.n)
     checks = _verify_checks(params)
     failed = [name for name, ok, _ in checks if not ok]
+    code = 0 if not failed else 1
     if args.format == "json":
-        import json
-        obj = {
+        return code, {
             "checks": [
                 {"name": name, "passed": ok, "detail": detail}
                 for name, ok, detail in checks
             ],
             "all_passed": not failed,
         }
-        _emit(json.dumps(obj, separators=(",", ":")), args.out)
-    elif args.format == "csv":
+    if args.format == "csv":
         lines = ["check,passed"]
         lines += [f"{name},{'true' if ok else 'false'}" for name, ok, _ in checks]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [
-            f"{'PASS' if ok else 'FAIL'} {name} ({detail})"
-            for name, ok, detail in checks
-        ]
-        verdict = ("all checks passed" if not failed
-                   else f"{len(failed)} check(s) failed: {', '.join(failed)}")
-        lines.append(verdict)
-        _emit("\n".join(lines), args.out)
-    return 0 if not failed else 1
+        return code, "\n".join(lines)
+    lines = [
+        f"{'PASS' if ok else 'FAIL'} {name} ({detail})"
+        for name, ok, detail in checks
+    ]
+    lines.append("all checks passed" if not failed
+                 else f"{len(failed)} check(s) failed: {', '.join(failed)}")
+    return code, "\n".join(lines)
 
 
-def cmd_ksearch(args: argparse.Namespace) -> int:
-    if args.criterion == "both":
-        which = [Criterion.FIRST, Criterion.SECOND]
-    else:
-        which = [Criterion(args.criterion)]
+def cmd_ksearch(args: argparse.Namespace) -> tuple[int, object]:
+    which = ([Criterion.FIRST, Criterion.SECOND] if args.criterion == "both"
+             else [Criterion(args.criterion)])
     m_range = range(args.m_min, args.m_max + 1)
     k_range = range(args.k_min, args.k_max + 1)
     tables = count_search_tables(args.i_max, args.j_max, args.v_max,
@@ -190,10 +167,10 @@ def cmd_ksearch(args: argparse.Namespace) -> int:
             criterion, args.i_max, args.j_max, args.v_max,
             m_range, k_range, budget=args.budget)
     found = sum(len(v) for v in results.values())
+    code = 1 if found else 0
 
     if args.format == "json":
-        import json
-        obj = {
+        return code, {
             "i_max": args.i_max,
             "j_max": args.j_max,
             "v_max": args.v_max,
@@ -209,28 +186,25 @@ def cmd_ksearch(args: argparse.Namespace) -> int:
             },
             "counterexamples": found,
         }
-        _emit(json.dumps(obj, separators=(",", ":")), args.out)
-    elif args.format == "csv":
+    if args.format == "csv":
         lines = ["criterion,m,k,i,j,value"]
         for name, hits in sorted(results.items()):
             for table, m, k in hits:
                 for (i, j), v in table.items():
                     lines.append(f"{name},{m},{k},{i},{j},{v}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = []
-        for name, hits in sorted(results.items()):
-            if hits:
-                lines.append(f"criterion {name}: {len(hits)} counterexample(s)")
-                for table, m, k in hits:
-                    lines.append(f"  m={m} k={k} {table!r}")
-            else:
-                lines.append(
-                    f"criterion {name}: no counterexamples "
-                    f"({tables} tables, m in [{args.m_min},{args.m_max}], "
-                    f"k in [{args.k_min},{args.k_max}])")
-        _emit("\n".join(lines), args.out)
-    return 1 if found else 0
+        return code, "\n".join(lines)
+    lines = []
+    for name, hits in sorted(results.items()):
+        if hits:
+            lines.append(f"criterion {name}: {len(hits)} counterexample(s)")
+            for table, m, k in hits:
+                lines.append(f"  m={m} k={k} {table!r}")
+        else:
+            lines.append(
+                f"criterion {name}: no counterexamples "
+                f"({tables} tables, m in [{args.m_min},{args.m_max}], "
+                f"k in [{args.k_min},{args.k_max}])")
+    return code, "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,21 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     moduli.add_argument("--d", type=int, default=1,
                         help="twisting degree, coprime to n (default 1)")
 
-    p = sub.add_parser("epoly", parents=[moduli],
-                       help="closed E-polynomial of the variant part")
-    p.set_defaults(func=cmd_epoly)
-
-    p = sub.add_parser("betti", parents=[moduli],
-                       help="variant Betti numbers")
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("pw", parents=[moduli],
-                       help="perverse/weight tables and their comparison")
-    p.set_defaults(func=cmd_pw)
-
-    p = sub.add_parser("verify", parents=[moduli],
-                       help="run every identity check")
-    p.set_defaults(func=cmd_verify)
+    for name, func, help_text in (
+            ("epoly", cmd_epoly, "closed E-polynomial of the variant part"),
+            ("betti", cmd_betti, "variant Betti numbers"),
+            ("pw", cmd_pw, "perverse/weight tables and their comparison"),
+            ("verify", cmd_verify, "run every identity check")):
+        sub.add_parser(name, parents=[moduli], help=help_text).set_defaults(func=func)
 
     p = sub.add_parser("ksearch", parents=[common],
                        help="search small tables for criterion counterexamples")
@@ -289,11 +254,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        code, output = args.func(args)
+        if args.format == "json":
+            output = json.dumps(output, separators=(",", ":"))
+        text = output if output.endswith("\n") else output + "\n"
+        if not args.out:
+            sys.stdout.write(text)
+            return code
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return code
+    except ValueError as exc:  # BudgetExceededError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -227,10 +227,6 @@ class LaurentPoly(_SparsePoly):
 
     # -- inspection --------------------------------------------------
 
-    def coeff(self, twice: int) -> Fraction:
-        """Coefficient of q**(twice/2)."""
-        return self._c.get(twice, _ZERO)
-
     def degree_bounds(self) -> tuple[int, int]:
         """(min, max) twice-exponent of the support; raises on zero."""
         if not self._c:
@@ -394,9 +390,6 @@ class BiLaurentPoly(_SparsePoly):
     def from_uv_powers(cls, coeffs: Mapping[tuple[int, int], CoeffLike]) -> "BiLaurentPoly":
         """Build from ordinary integer exponent pairs."""
         return cls({(2 * a, 2 * b): c for (a, b), c in coeffs.items()})
-
-    def coeff(self, twice_u: int, twice_v: int) -> Fraction:
-        return self._c.get((twice_u, twice_v), _ZERO)
 
     def __str__(self) -> str:
         def power(key: tuple[int, int]) -> str:

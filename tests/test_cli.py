@@ -81,6 +81,7 @@ def test_verify_continues_past_failures(capsys, monkeypatch):
     assert code == 1
     lines = out.strip().splitlines()
     assert any(line.startswith("FAIL euler") for line in lines)
+    assert "FAIL euler (error: RuntimeError: forced)" in lines
     # the later checks still ran
     assert any(line.startswith("PASS pw") for line in lines)
     assert lines[-1].startswith("1 check(s) failed")
@@ -156,15 +157,44 @@ def test_usage_error_exit(capsys):
     assert exc.value.code == 2
 
 
-def test_out_writes_identical_bytes(capsys, tmp_path):
-    target = tmp_path / "out.json"
-    code, out, _ = run(capsys, "pw", "--n", "2", "--g", "2", "--format", "json")
-    assert code == 0
-    code2 = main(["pw", "--n", "2", "--g", "2", "--format", "json",
-                  "--out", str(target)])
-    capsys.readouterr()
-    assert code2 == 0
-    assert target.read_text(encoding="utf-8") == out
+@pytest.mark.parametrize("verb", ["epoly", "betti", "pw", "verify", "ksearch"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_out_writes_identical_bytes(capsys, tmp_path, verb, fmt):
+    argv = [verb, "--format", fmt]
+    if verb != "ksearch":
+        argv += ["--n", "3", "--g", "2"]
+    target = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv)
+    code2, out2, _ = run(capsys, *argv, "--out", str(target))
+    assert code == code2 == 0
+    assert out2 == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "epoly", "--n", "3", "--g", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
+
+
+def test_help_lists_every_verb_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    verbs = [
+        ("epoly", "closed E-polynomial of the variant part"),
+        ("betti", "variant Betti numbers"),
+        ("pw", "perverse/weight tables and their comparison"),
+        ("verify", "run every identity check"),
+        ("ksearch", "search small tables for criterion counterexamples"),
+    ]
+    # compare word by word: argparse wraps and pads by terminal width
+    listing = " ".join(f"{verb} {help_text}" for verb, help_text in verbs)
+    assert listing in " ".join(out.split())
 
 
 def test_output_is_deterministic(capsys):
