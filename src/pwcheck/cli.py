@@ -19,7 +19,7 @@ import sys
 
 from .epoly import (
     ModuliParams, closed_e, euler_variant, mirror_difference, require_prime, variant_betti)
-from .filtration import Criterion, count_search_tables, falsification_search
+from .filtration import DEFAULT_BUDGET, Criterion, count_search_tables, falsification_search
 from .hitchin import endoscopic_bound, verify_pw
 from .hookchar import evar_from_types
 from .laurent import LaurentPoly
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=3, dest="m_max")
     p.add_argument("--k-min", type=int, default=0, dest="k_min")
     p.add_argument("--k-max", type=int, default=2, dest="k_max")
-    p.add_argument("--budget", type=int, default=10 ** 7,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="abort if the case count exceeds this")
     p.set_defaults(func=cmd_ksearch)
 

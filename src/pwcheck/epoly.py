@@ -8,12 +8,12 @@ refinement, and the variant Betti numbers read off from it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
+from .filtration import _Graded
 from .laurent import BiLaurentPoly, LaurentPoly
 
 
@@ -62,7 +62,8 @@ class ModuliParams:
             raise ValueError("rank n must be an integer >= 2")
         if not isinstance(self.g, int) or self.g < 2:
             raise ValueError("genus g must be an integer >= 2")
-        if not isinstance(self.d, int) or math.gcd(self.n, self.d) != 1:
+        d = self.d
+        if not isinstance(d, int) or isinstance(d, bool) or math.gcd(self.n, d) != 1:
             raise ValueError("degree d must be an integer coprime to n")
 
     @property
@@ -131,62 +132,34 @@ def mirror_difference(params: ModuliParams) -> BiLaurentPoly:
     return scale * prefix * bracket
 
 
-class CohomologyProfile:
+class CohomologyProfile(_Graded):
     """Betti numbers indexed by cohomological degree.
 
     Missing degrees are zero.  Values are nonnegative integers.
     """
 
-    __slots__ = ("_dims",)
-
-    def __init__(self, dims: Mapping[int, int] | None = None):
-        data: dict[int, int] = {}
-        if dims:
-            for deg, value in dims.items():
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    raise ValueError(f"dimension at degree {deg} must be a nonnegative int")
-                if value:
-                    data[int(deg)] = value
-        object.__setattr__(self, "_dims", data)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CohomologyProfile is immutable")
+    __slots__ = ()
+    _key = int
+    _BAD_VALUE = "dimension at degree {} must be a nonnegative int"
 
     def __getitem__(self, degree: int) -> int:
-        return self._dims.get(degree, 0)
-
-    def __bool__(self) -> bool:
-        return bool(self._dims)
+        return self._cells.get(degree, 0)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, CohomologyProfile):
-            return self._dims == other._dims
         if isinstance(other, dict):
-            return self._dims == {d: v for d, v in other.items() if v}
-        return NotImplemented
+            return self._cells == {d: v for d, v in other.items() if v}
+        return _Graded.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._dims.items())))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{d}: {v}" for d, v in sorted(self._dims.items()))
-        return f"CohomologyProfile({{{inner}}})"
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        for deg in sorted(self._dims):
-            yield deg, self._dims[deg]
+    __hash__ = _Graded.__hash__
 
     def support(self) -> tuple[int, int]:
         """(lowest, highest) degree with a nonzero group; raises if empty."""
-        if not self._dims:
+        if not self._cells:
             raise ValueError("empty profile has no support")
-        return min(self._dims), max(self._dims)
+        return min(self._cells), max(self._cells)
 
     def euler(self) -> int:
-        return sum(v if d % 2 == 0 else -v for d, v in self._dims.items())
-
-    def total(self) -> int:
-        return sum(self._dims.values())
+        return sum(v if d % 2 == 0 else -v for d, v in self._cells.items())
 
     def to_csv(self) -> str:
         lines = ["degree,dimension"]
@@ -198,14 +171,7 @@ class CohomologyProfile:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, int]) -> "CohomologyProfile":
-        return cls({int(d): int(v) for d, v in obj.items()})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CohomologyProfile":
-        return cls.from_json_obj(json.loads(text))
+        return cls(obj)
 
 
 def variant_betti(params: ModuliParams) -> CohomologyProfile:

@@ -16,9 +16,13 @@ import enum
 import itertools
 import json
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, TypeVar
 
 Witness = tuple[str, tuple[int, ...]]
+_G = TypeVar("_G", bound="_Graded")
+
+# The most (table, m, k) cases a search visits unless given a budget.
+DEFAULT_BUDGET = 10 ** 7
 
 
 class BudgetExceededError(ValueError):
@@ -30,36 +34,32 @@ class Criterion(enum.Enum):
     SECOND = "second"
 
 
-class FiltrationTable:
-    """Immutable table of nonnegative integers indexed by (i, j) >= (0, 0).
+class _Graded:
+    """Immutable map from keys to positive ints; absent keys read 0.
 
-    Reads outside the stored support return 0, including at negative
-    indices; that convention is what makes the mirror conditions below
-    meaningful near the boundary.
+    The code FiltrationTable and CohomologyProfile share.  A subclass
+    sets ``_key``, which checks and normalises a key, and ``_BAD_VALUE``,
+    the error for a value that is not a nonnegative int (``{}`` is the key).
     """
 
     __slots__ = ("_cells",)
 
-    def __init__(self, cells: Mapping[tuple[int, int], int] | None = None):
-        data: dict[tuple[int, int], int] = {}
-        if cells:
-            for key, value in cells.items():
-                i, j = key
-                if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
-                    raise ValueError(f"cell index {key} must be a pair of nonnegative ints")
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    raise ValueError(f"value at {key} must be a nonnegative int")
-                if value:
-                    data[(i, j)] = value
+    def __init__(self, cells: Mapping | None = None):
+        data: dict = {}
+        key_of = self._key
+        for key, value in (cells or {}).items():
+            normal = key_of(key)
+            vtype = type(value)  # an exact int, the usual case, skips isinstance
+            if vtype is not int and (vtype is bool or not isinstance(value, int)) or value < 0:
+                raise ValueError(self._BAD_VALUE.format(key))
+            if value:
+                data[normal] = value
         object.__setattr__(self, "_cells", data)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FiltrationTable is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def get(self, i: int, j: int) -> int:
-        return self._cells.get((i, j), 0)
-
-    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
+    def items(self) -> Iterator[tuple[Any, int]]:
         for key in sorted(self._cells):
             yield key, self._cells[key]
 
@@ -70,7 +70,7 @@ class FiltrationTable:
         return bool(self._cells)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, FiltrationTable):
+        if isinstance(other, type(self)):
             return self._cells == other._cells
         return NotImplemented
 
@@ -79,22 +79,41 @@ class FiltrationTable:
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in self.items())
-        return f"FiltrationTable({{{inner}}})"
-
-    def hull(self) -> tuple[int, int]:
-        """Componentwise max of the support; raises on the empty table."""
-        if not self._cells:
-            raise ValueError("empty table has no hull")
-        return (max(i for i, _ in self._cells), max(j for _, j in self._cells))
-
-    def row_sum(self, i: int) -> int:
-        return sum(v for (r, _), v in self._cells.items() if r == i)
-
-    def antidiagonal_sum(self, t: int) -> int:
-        return sum(v for (i, j), v in self._cells.items() if i + j == t)
+        return f"{type(self).__name__}({{{inner}}})"
 
     def total(self) -> int:
         return sum(self._cells.values())
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls: type[_G], text: str) -> _G:
+        return cls.from_json_obj(json.loads(text))
+
+
+class FiltrationTable(_Graded):
+    """Immutable table of nonnegative integers indexed by (i, j) >= (0, 0).
+
+    Reads outside the stored support return 0, including at negative
+    indices; that convention is what makes the mirror conditions below
+    meaningful near the boundary.
+    """
+
+    __slots__ = ()
+    _BAD_VALUE = "value at {} must be a nonnegative int"
+    # Own binding, not inherited: perfbench/tracer.py patches vars(cls).
+    __init__ = _Graded.__init__
+
+    @staticmethod
+    def _key(key: tuple[int, int]) -> tuple[int, int]:
+        i, j = key
+        if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
+            raise ValueError(f"cell index {key} must be a pair of nonnegative ints")
+        return i, j
+
+    def get(self, i: int, j: int) -> int:
+        return self._cells.get((i, j), 0)
 
     def to_csv(self) -> str:
         lines = ["i,j,value"]
@@ -117,14 +136,7 @@ class FiltrationTable:
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "FiltrationTable":
-        return cls({(int(i), int(j)): int(v) for i, j, v in obj})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiltrationTable":
-        return cls.from_json_obj(json.loads(text))
+        return cls({(i, j): v for i, j, v in obj})
 
 
 def _require_mk(m: int, k: int) -> None:
@@ -261,7 +273,7 @@ def check_second_criterion(table: FiltrationTable, m: int, k: int) -> CriterionR
 
 
 def count_search_tables(i_max: int, j_max: int, v_max: int, m_range: Iterable[int],
-                        k_range: Iterable[int], budget: int = 10 ** 7) -> int:
+                        k_range: Iterable[int], budget: int = DEFAULT_BUDGET) -> int:
     """Number of tables `falsification_search` enumerates on this grid.
 
     Validates the arguments as the search does and raises
@@ -291,7 +303,7 @@ def count_search_tables(i_max: int, j_max: int, v_max: int, m_range: Iterable[in
 
 def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
                          m_range: Iterable[int], k_range: Iterable[int],
-                         budget: int = 10 ** 7) -> list[tuple[FiltrationTable, int, int]]:
+                         budget: int = DEFAULT_BUDGET) -> list[tuple[FiltrationTable, int, int]]:
     """Enumerate every table on [0..i_max] x [0..j_max] with entries in
     [0..v_max] and return those satisfying all conditions of the chosen
     criterion without being a k-sequence.

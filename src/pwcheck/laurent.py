@@ -363,7 +363,7 @@ class LaurentPoly(_SparsePoly):
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "LaurentPoly":
-        return cls({int(t): Fraction(c) for t, c in obj})
+        return cls({t: c for t, c in obj})
 
 
 class BiLaurentPoly(_SparsePoly):
@@ -449,4 +449,4 @@ class BiLaurentPoly(_SparsePoly):
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "BiLaurentPoly":
-        return cls({(int(a), int(b)): Fraction(c) for a, b, c in obj})
+        return cls({(a, b): c for a, b, c in obj})

@@ -156,6 +156,13 @@ def test_composite_rank_rejected_by_formulas():
         euler_variant(ModuliParams(9, 2, 1))
 
 
+def test_params_reject_bool():
+    # True is an int coprime to every n, but not a degree.
+    for args in ((True, 2), (3, True), (3, 2, True)):
+        with pytest.raises(ValueError):
+            ModuliParams(*args)
+
+
 def test_betti_independent_of_degree():
     assert variant_betti(make_params(3, 2, 1)) == variant_betti(make_params(3, 2, 2))
 
