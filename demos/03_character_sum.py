@@ -6,10 +6,10 @@ Run:  python3 demos/03_character_sum.py
 from pwcheck import (
     SpecialType,
     closed_e,
+    count_multiplier,
     evar_closed_route,
     evar_from_types,
     evar_type_route,
-    hook_data,
     make_params,
     special_hook,
     type_contribution,
@@ -21,10 +21,10 @@ params = make_params(n, g)
 
 print(f"rank {n}: the two special families and their hooks")
 for kind in SpecialType:
-    data = hook_data(kind, n)
-    print(f"  {kind.value:8s} hook = {data.hook}")
-    print(f"           counted with multiplicity {data.multiplier(g)}")
-    contrib = type_contribution(data.hook, n, g)
+    hook = special_hook(kind, n)
+    print(f"  {kind.value:8s} hook = {hook}")
+    print(f"           counted with multiplicity {count_multiplier(kind, n, g)}")
+    contrib = type_contribution(hook, n, g)
     print(f"           contribution = {contrib}")
 print()
 

@@ -22,22 +22,19 @@ from .filtration import (
     is_k_sequence,
 )
 from .hitchin import (
-    CriterionFailureError,
     PWReport,
     endoscopic_bound,
     perverse_table,
-    require_pw,
     verify_pw,
     weight_table,
 )
 from .hookchar import (
-    HookData,
     IdentityFailureError,
     SpecialType,
+    count_multiplier,
     evar_closed_route,
     evar_from_types,
     evar_type_route,
-    hook_data,
     special_hook,
     type_contribution,
 )
@@ -56,11 +53,9 @@ __all__ = [
     "BudgetExceededError",
     "CohomologyProfile",
     "Criterion",
-    "CriterionFailureError",
     "CriterionReport",
     "EvalDomainError",
     "FiltrationTable",
-    "HookData",
     "IdentityFailureError",
     "InconsistentFormulaError",
     "InexactDivisionError",
@@ -73,18 +68,17 @@ __all__ = [
     "check_first_criterion",
     "check_second_criterion",
     "closed_e",
+    "count_multiplier",
     "endoscopic_bound",
     "euler_variant",
     "evar_closed_route",
     "evar_from_types",
     "evar_type_route",
     "falsification_search",
-    "hook_data",
     "is_k_sequence",
     "make_params",
     "mirror_difference",
     "perverse_table",
-    "require_pw",
     "special_hook",
     "type_contribution",
     "variant_betti",

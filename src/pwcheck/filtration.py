@@ -120,17 +120,6 @@ class FiltrationTable(_Graded):
         lines += [f"{i},{j},{v}" for (i, j), v in self.items()]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "FiltrationTable":
-        rows = [line for line in text.strip().splitlines() if line]
-        if not rows or rows[0] != "i,j,value":
-            raise ValueError("expected header 'i,j,value'")
-        cells: dict[tuple[int, int], int] = {}
-        for line in rows[1:]:
-            i, j, v = (int(part) for part in line.split(","))
-            cells[(i, j)] = v
-        return cls(cells)
-
     def to_json_obj(self) -> list[list[int]]:
         return [[i, j, v] for (i, j), v in self.items()]
 

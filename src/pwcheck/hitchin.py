@@ -29,10 +29,6 @@ from .filtration import (
 from .hookchar import evar_from_types
 
 
-class CriterionFailureError(ArithmeticError):
-    """A verification that was expected to hold did not."""
-
-
 def endoscopic_bound(n: int, g: int) -> int:
     """Codimension bound n(n - n/p)(g-1) for the special locus, where p
     is the smallest prime factor of n.  Defined for any rank n >= 2;
@@ -156,11 +152,3 @@ def verify_pw(params: ModuliParams) -> PWReport:
         weight_check=check_second_criterion(weight, m, k),
         tables_equal=perverse == weight,
     )
-
-
-def require_pw(params: ModuliParams) -> PWReport:
-    """verify_pw, raising CriterionFailureError unless everything holds."""
-    report = verify_pw(params)
-    if not report.holds:
-        raise CriterionFailureError(report.summary())
-    return report

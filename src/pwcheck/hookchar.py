@@ -11,10 +11,9 @@ sum over both must reproduce the closed formula exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .epoly import ModuliParams, require_prime, variant_bracket
+from .epoly import ModuliParams, closed_e, require_prime
 from .laurent import LaurentPoly
 
 
@@ -48,26 +47,11 @@ def special_hook(kind: SpecialType, n: int) -> LaurentPoly:
     return shift * LaurentPoly.from_q_powers({0: 1, n: -1})
 
 
-@dataclass(frozen=True)
-class HookData:
-    """One family's hook polynomial together with its counting weight."""
-
-    kind: SpecialType
-    n: int
-    hook: LaurentPoly
-    unit_coeff: Fraction
-    power_sign: int
-
-    def multiplier(self, g: int) -> Fraction:
-        """Number of characters in the family, up to the shared scale:
-        unit_coeff + power_sign * n^{2g-1}."""
-        return self.unit_coeff + self.power_sign * self.n ** (2 * g - 1)
-
-
-def hook_data(kind: SpecialType, n: int) -> HookData:
+def count_multiplier(kind: SpecialType, n: int, g: int) -> Fraction:
+    """Number of characters in the family, up to the shared scale:
+    unit_sign/n + power_sign * n^{2g-1}, with the signs from _COUNT_SIGNS."""
     unit_sign, power_sign = _COUNT_SIGNS[kind]
-    return HookData(kind=kind, n=n, hook=special_hook(kind, n),
-                    unit_coeff=Fraction(unit_sign, n), power_sign=power_sign)
+    return Fraction(unit_sign, n) + power_sign * n ** (2 * g - 1)
 
 
 def type_contribution(hook: LaurentPoly, n: int, g: int) -> LaurentPoly:
@@ -83,32 +67,33 @@ def type_contribution(hook: LaurentPoly, n: int, g: int) -> LaurentPoly:
 
 
 def evar_type_route(params: ModuliParams) -> LaurentPoly:
-    """Variant E-polynomial summed over the two special families."""
+    """Variant E-polynomial summed over the two special families.
+
+    Never reads closed_e: it is the independent side of evar_from_types.
+    """
     n, g = params.n, params.g
     require_prime(n)
     total = LaurentPoly.zero()
     for kind in SpecialType:
-        data = hook_data(kind, n)
-        total = total + data.multiplier(g) * type_contribution(data.hook, n, g)
+        hook = special_hook(kind, n)
+        total = total + count_multiplier(kind, n, g) * type_contribution(hook, n, g)
     return total
 
 
 def evar_closed_route(params: ModuliParams) -> LaurentPoly:
-    """Same polynomial from the closed bracket:
-    ((n^{2g}-1)/n) * q^{(n^2-n)(g-1)} * bracket(n, g).
+    """Same polynomial from the closed formula: closed_e shifted down by
+    q^{(n^2+n-2)(g-1)}, which is ((n^{2g}-1)/n) * q^{(n^2-n)(g-1)} * bracket(n, g).
     """
     n, g = params.n, params.g
-    require_prime(n)
-    scale = Fraction(n ** (2 * g) - 1, n)
-    prefix = LaurentPoly.from_q_powers({(n * n - n) * (g - 1): 1})
-    return scale * prefix * variant_bracket(n, g)
+    shift = (n * n + n - 2) * (g - 1)
+    return closed_e(params) * LaurentPoly.monomial(-2 * shift)
 
 
 def evar_from_types(params: ModuliParams) -> LaurentPoly:
     """Variant E-polynomial with both derivations cross-checked.
 
     Raises IdentityFailureError if the character sum and the closed
-    bracket disagree, and ParityError if a half-integer exponent
+    formula disagree, and ParityError if a half-integer exponent
     survives (it never should).
     """
     from_types = evar_type_route(params)

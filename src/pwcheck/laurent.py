@@ -19,10 +19,6 @@ import math
 from fractions import Fraction
 from typing import Any, Iterator, Mapping, TypeVar, Union
 
-Rational = Fraction
-# A "HalfExp" is an int holding twice the actual exponent.
-HalfExp = int
-
 CoeffLike = Union[int, str, Fraction]
 
 _ZERO = Fraction(0)
@@ -43,8 +39,8 @@ class ParityError(ArithmeticError):
 
 
 def _coerce(value: CoeffLike) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not allowed; use Fraction")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{type(value).__name__} coefficients are not allowed; use Fraction")
     return Fraction(value)
 
 
@@ -313,16 +309,6 @@ class LaurentPoly(_SparsePoly):
         return LaurentPoly(quot)
 
     # -- substitutions ------------------------------------------------
-
-    def dilate(self, k: int) -> "LaurentPoly":
-        """Substitute q -> q**k for a positive integer k.
-
-        >>> print(LaurentPoly({1: 1, 0: 1}).dilate(2))
-        q + 1
-        """
-        if not isinstance(k, int) or k <= 0:
-            raise ValueError("dilation factor must be a positive integer")
-        return LaurentPoly({t * k: c for t, c in self._c.items()})
 
     def reverse(self, weight: int) -> "LaurentPoly":
         """q**weight * p(1/q) for an integer weight."""

@@ -8,6 +8,11 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Lines a demo must print, where it states a check's outcome.
+EXPECTED_LINES = {
+    "02_mirror_refinement.py": ["equals the closed form:  True"],
+    "03_character_sum.py": ["routes agree:         True", "matches closed E:     True"],
+}
 
 
 def test_every_demo_is_collected():
@@ -19,8 +24,8 @@ def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out
-    if path.name == "02_mirror_refinement.py":
-        assert "equals the closed form:  True" in out
+    for expected in EXPECTED_LINES.get(path.name, []):
+        assert expected in out
 
 
 def test_readme_session():

@@ -67,6 +67,8 @@ def test_validation_messages(cls, cells, message):
     (CohomologyProfile, '{"2":"3"}', ValueError),
     (LaurentPoly, "[[0,0.5]]", TypeError),
     (BiLaurentPoly, "[[0,0,0.5]]", TypeError),
+    (LaurentPoly, "[[0,true]]", TypeError),
+    (BiLaurentPoly, "[[0,0,false]]", TypeError),
 ])
 def test_json_readers_reject_what_the_constructors_reject(cls, text, error):
     with pytest.raises(error):

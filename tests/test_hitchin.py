@@ -4,14 +4,7 @@ import pytest
 
 from pwcheck.epoly import CohomologyProfile, InconsistentFormulaError, make_params
 from pwcheck.filtration import FiltrationTable, is_k_sequence
-from pwcheck.hitchin import (
-    CriterionFailureError,
-    endoscopic_bound,
-    perverse_table,
-    require_pw,
-    verify_pw,
-    weight_table,
-)
+from pwcheck.hitchin import endoscopic_bound, perverse_table, verify_pw, weight_table
 
 GRID = [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4), (3, 3)]
 
@@ -64,11 +57,7 @@ def test_report_serialization():
     assert "total variant dimension: 30" in summary
 
 
-def test_require_pw_returns_report():
-    assert require_pw(make_params(2, 2)).holds
-
-
-def test_require_pw_raises_on_failure(monkeypatch):
+def test_verify_pw_reports_a_lopsided_profile(monkeypatch):
     import pwcheck.hitchin as hitchin
 
     # feed the perverse side a lopsided profile; every layer downstream
@@ -79,8 +68,6 @@ def test_require_pw_raises_on_failure(monkeypatch):
     assert not report.tables_equal
     assert not report.holds
     assert not report.perverse_check.passed
-    with pytest.raises(CriterionFailureError):
-        hitchin.require_pw(make_params(2, 2))
 
 
 def test_perverse_table_rejects_low_degrees(monkeypatch):

@@ -6,10 +6,10 @@ from pwcheck.epoly import NotPrimeError, closed_e, make_params, variant_betti
 from pwcheck.hookchar import (
     IdentityFailureError,
     SpecialType,
+    count_multiplier,
     evar_closed_route,
     evar_from_types,
     evar_type_route,
-    hook_data,
     special_hook,
     type_contribution,
 )
@@ -54,12 +54,12 @@ def test_type_contributions_have_integer_exponents(n, g):
 
 
 def test_count_multipliers():
-    split = hook_data(SpecialType.SPLIT, 2)
-    nonsplit = hook_data(SpecialType.NONSPLIT, 2)
-    assert split.multiplier(2) == Fraction(-1, 2) + 8
-    assert nonsplit.multiplier(2) == Fraction(1, 2) - 8
+    split = count_multiplier(SpecialType.SPLIT, 2, 2)
+    nonsplit = count_multiplier(SpecialType.NONSPLIT, 2, 2)
+    assert split == Fraction(-1, 2) + 8
+    assert nonsplit == Fraction(1, 2) - 8
     # the two multipliers are exact negatives of each other
-    assert split.multiplier(2) == -nonsplit.multiplier(2)
+    assert split == -nonsplit
 
 
 @pytest.mark.parametrize("n,g", GRID)
