@@ -86,15 +86,27 @@ def make_params(n: int, g: int, d: int = 1) -> ModuliParams:
     return ModuliParams(n, g, d)
 
 
+# The last (n, g) and its bracket.  One verify asks for the same bracket
+# ten times; LaurentPoly is immutable, so every caller may share it.  The
+# memo lives inside variant_bracket, below every name the tests patch,
+# and neither the type route nor the mirror reaches it.
+_BRACKET_MEMO: dict[tuple[int, int], LaurentPoly] = {}
+
+
 def variant_bracket(n: int, g: int) -> LaurentPoly:
     """(q-1)^{(n-1)(2g-2)} - (1+q+...+q^{n-1})^{2g-2}.
 
     The common factor of the closed E-polynomial and of the point-count
     route; everything variant-specific lives in the prefactor.
     """
-    q_minus_1 = LaurentPoly.from_q_powers({1: 1, 0: -1})
-    cyclo_sum = LaurentPoly.from_q_powers({e: 1 for e in range(n)})
-    return q_minus_1 ** ((n - 1) * (2 * g - 2)) - cyclo_sum ** (2 * g - 2)
+    bracket = _BRACKET_MEMO.get((n, g))
+    if bracket is None:
+        q_minus_1 = LaurentPoly.from_q_powers({1: 1, 0: -1})
+        cyclo_sum = LaurentPoly.from_q_powers({e: 1 for e in range(n)})
+        bracket = q_minus_1 ** ((n - 1) * (2 * g - 2)) - cyclo_sum ** (2 * g - 2)
+        _BRACKET_MEMO.clear()
+        _BRACKET_MEMO[(n, g)] = bracket
+    return bracket
 
 
 def closed_e(params: ModuliParams) -> LaurentPoly:

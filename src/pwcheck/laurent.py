@@ -2,8 +2,10 @@
 
 Exponents may be half-integers.  Internally every exponent is stored as
 *twice* its value, so the key ``5`` means ``q**(5/2)`` and the key ``6``
-means ``q**3``.  All coefficients are ``fractions.Fraction``; no floats
-ever appear, so equality of polynomials is exact.
+means ``q**3``.  A coefficient is stored as an ``int`` when it is
+integral and as a ``fractions.Fraction`` (denominator > 1) otherwise; no
+floats ever appear, so equality of polynomials is exact.  The two
+variants print, serialise and hash alike: ``str(3) == str(Fraction(3))``.
 
 >>> p = LaurentPoly({2: 1, 0: -2, -2: 1})      # q - 2 + q**-1
 >>> print(p * p)
@@ -21,7 +23,7 @@ from typing import Any, Iterator, Mapping, TypeVar, Union
 
 CoeffLike = Union[int, str, Fraction]
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 _P = TypeVar("_P", bound="_SparsePoly")
 
@@ -38,10 +40,21 @@ class ParityError(ArithmeticError):
     """A half-integer exponent appeared where integers were required."""
 
 
-def _coerce(value: CoeffLike) -> Fraction:
+def _coerce(value: CoeffLike) -> int | Fraction:
+    """value as an exact int when integral, else as a Fraction."""
+    if type(value) is int:
+        return value
     if isinstance(value, (float, bool)):
         raise TypeError(f"{type(value).__name__} coefficients are not allowed; use Fraction")
-    return Fraction(value)
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _exact_quotient(x: int | Fraction, y: int | Fraction) -> int | Fraction:
+    """x / y without a float: an int when y divides x, else a Fraction."""
+    if type(x) is int and type(y) is int and x % y == 0:
+        return x // y
+    return _coerce(Fraction(x) / y)
 
 
 def _exact_sqrt(x: Fraction) -> Fraction:
@@ -69,7 +82,7 @@ def _format_q_power(twice: int) -> str:
     return f"q^({twice}/2)"
 
 
-def _format_terms(pairs: list[tuple[str, Fraction]]) -> str:
+def _format_terms(pairs: list[tuple[str, int | Fraction]]) -> str:
     out: list[str] = []
     for power, coeff in pairs:
         mag = abs(coeff)
@@ -87,7 +100,7 @@ def _format_terms(pairs: list[tuple[str, Fraction]]) -> str:
 
 
 class _SparsePoly:
-    """Immutable map from exponent keys to nonzero Fraction coefficients.
+    """Immutable map from exponent keys to nonzero exact coefficients.
 
     The code of LaurentPoly and BiLaurentPoly that does not depend on the
     number of variables.  A subclass sets ``_key``, which normalises a
@@ -97,11 +110,12 @@ class _SparsePoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[Any, CoeffLike] | None = None):
-        data: dict[Any, Fraction] = {}
+        data: dict[Any, int | Fraction] = {}
         if coeffs:
             key = self._key
-            for k, value in coeffs.items():
-                c = _coerce(value)
+            for k, c in coeffs.items():
+                if type(c) is not int:  # an exact int, the usual case, is stored as is
+                    c = _coerce(c)
                 if c:
                     data[key(k)] = c
         object.__setattr__(self, "_c", data)
@@ -117,7 +131,7 @@ class _SparsePoly:
     def one(cls: type[_P]) -> _P:
         return cls({cls._UNIT: 1})
 
-    def terms(self) -> Iterator[tuple[Any, Fraction]]:
+    def terms(self) -> Iterator[tuple[Any, int | Fraction]]:
         """(key, coefficient) pairs in increasing key order."""
         for key in sorted(self._c):
             yield key, self._c[key]
@@ -196,7 +210,7 @@ class LaurentPoly(_SparsePoly):
     Zero coefficients are dropped, so the zero polynomial is falsy.
 
     >>> LaurentPoly({4: 3, 0: "1/2"})
-    LaurentPoly({0: Fraction(1, 2), 4: Fraction(3, 1)})
+    LaurentPoly({0: Fraction(1, 2), 4: 3})
     >>> bool(LaurentPoly({}))
     False
     """
@@ -233,11 +247,11 @@ class LaurentPoly(_SparsePoly):
     def has_integer_exponents(self) -> bool:
         return all(t % 2 == 0 for t in self._c)
 
-    def to_q_dict(self) -> dict[int, Fraction]:
+    def to_q_dict(self) -> dict[int, int | Fraction]:
         """As {integer exponent: coefficient}; ParityError on half exponents.
 
         >>> LaurentPoly({6: 5}).to_q_dict()
-        {3: Fraction(5, 1)}
+        {3: 5}
         """
         if not self.has_integer_exponents:
             raise ParityError("polynomial has half-integer exponents")
@@ -264,7 +278,7 @@ class LaurentPoly(_SparsePoly):
         rhs = self._as_poly(other)
         if rhs is None:
             return NotImplemented
-        data: dict[int, Fraction] = {}
+        data: dict[int, int | Fraction] = {}
         for ta, ca in self._c.items():
             for tb, cb in rhs._c.items():
                 t = ta + tb
@@ -296,9 +310,9 @@ class LaurentPoly(_SparsePoly):
         if len(a) < len(b):
             raise InexactDivisionError("divisor does not divide exactly")
         lead = b[-1]
-        quot: dict[int, Fraction] = {}
+        quot: dict[int, int | Fraction] = {}
         for i in range(len(a) - len(b), -1, -1):
-            c = a[i + len(b) - 1] / lead
+            c = _exact_quotient(a[i + len(b) - 1], lead)
             if c:
                 quot[i + a_lo - b_lo] = c
                 for j, bj in enumerate(b):
@@ -330,16 +344,17 @@ class LaurentPoly(_SparsePoly):
 
         >>> LaurentPoly({1: 1}).eval_at(Fraction(9, 4))
         Fraction(3, 2)
+        >>> LaurentPoly({-2: 3}).eval_at(5)
+        Fraction(3, 5)
         """
-        x = _coerce(x)
-        if not self._c:
-            return _ZERO
+        # A Fraction base keeps x ** -k exact; an int base would give a float.
+        x = Fraction(_coerce(x))
         if x == 0 and any(t < 0 for t in self._c):
             raise EvalDomainError("negative exponent at x = 0")
         if self.has_integer_exponents:
-            return sum((c * x ** (t // 2) for t, c in self._c.items()), _ZERO)
+            return sum((c * x ** (t // 2) for t, c in self._c.items()), Fraction(0))
         r = _exact_sqrt(x)
-        return sum((c * r ** t for t, c in self._c.items()), _ZERO)
+        return sum((c * r ** t for t, c in self._c.items()), Fraction(0))
 
     # -- wire format ---------------------------------------------------
 
@@ -402,7 +417,7 @@ class BiLaurentPoly(_SparsePoly):
         rhs = self._as_poly(other)
         if rhs is None:
             return NotImplemented
-        data: dict[tuple[int, int], Fraction] = {}
+        data: dict[tuple[int, int], int | Fraction] = {}
         for (au, av), ca in self._c.items():
             for (bu, bv), cb in rhs._c.items():
                 k = (au + bu, av + bv)
@@ -424,7 +439,7 @@ class BiLaurentPoly(_SparsePoly):
         >>> print(BiLaurentPoly.from_uv_powers({(2, 1): 3}).diagonal())
         3*q^3
         """
-        data: dict[int, Fraction] = {}
+        data: dict[int, int | Fraction] = {}
         for (a, b), c in self._c.items():
             t = a + b
             data[t] = data.get(t, _ZERO) + c

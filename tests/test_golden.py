@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output, pinned as SHA-256 digests of stdout.
 
-The digests were recorded before the criterion layer was rewritten; any
-refactor must leave every one of them, and every exit code, unchanged.
+The digests were recorded before the criterion layer was rewritten (the
+large corners before coefficients were stored as ints); any refactor
+must leave every one of them, and every exit code, unchanged.
 """
 
 import hashlib
@@ -50,6 +51,11 @@ GOLDEN = [
     ('ksearch --format text', 0, "ab858e4497554f0fe9cb5681439fbee55d32cc92e89c25afb7ad3ed0f297d044"),
     ('ksearch --format json', 0, "ea3f9a1967188e359583bf881e2d6075eff8ca82210f150a6d57ea05912a826c"),
     ('ksearch --format csv', 0, "41465ee7f9a79406d2a919db479b2924c3aba63c9a7d59d035b6a2860db8dc2f"),
+    # Large corners, whose coefficients run to 100+ digits.
+    ('verify --n 13 --g 8 --format text', 0, "3700af0be415f882c106a978c4cc775055715df320fe2dcea52b439c809c4df6"),
+    ('epoly --n 13 --g 8 --format json', 0, "acaf15f56d624e5b859e26c3a2e86c69ba84a2c73806797d56b58ade76a22d91"),
+    ('epoly --n 7 --g 8 --format csv', 0, "2cffce6d8802db60da8ab6ab973104268c10d2e292f75108b2df967928cf5b1d"),
+    ('pw --n 13 --g 4 --format json', 0, "b39dad30c8cd3d60e25bda33b08fcd7ab99381a02e85dc2792d51ad2dd3e4f56"),
 ]
 
 

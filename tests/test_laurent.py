@@ -154,9 +154,9 @@ def test_bivariate_swap_distributes_over_product(a, b):
 
 SHARED_CORE_CASES = [
     (LaurentPoly, {4: 3, 0: "1/2"},
-     "LaurentPoly({0: Fraction(1, 2), 4: Fraction(3, 1)})"),
+     "LaurentPoly({0: Fraction(1, 2), 4: 3})"),
     (BiLaurentPoly, {(2, 0): 3, (0, 0): "1/2"},
-     "BiLaurentPoly({(0, 0): Fraction(1, 2), (2, 0): Fraction(3, 1)})"),
+     "BiLaurentPoly({(0, 0): Fraction(1, 2), (2, 0): 3})"),
 ]
 
 
@@ -205,3 +205,58 @@ def test_bivariate_arithmetic():
     assert (u + v) ** 2 == u * u + 2 * u * v + v * v
     assert (u - v).swap() == v - u
     assert (u * v).diagonal() == LaurentPoly.from_q_powers({2: 1})
+
+
+# Coefficients as callers write them: ints, integral Fractions such as
+# Fraction(3, 1), and proper fractions.
+exact_values = st.one_of(st.integers(-5, 5), st.integers(-5, 5).map(Fraction), coeffs)
+mixed_polys = st.dictionaries(st.integers(-8, 8), exact_values, max_size=5).map(LaurentPoly)
+mixed_bipolys = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), exact_values, max_size=4
+).map(BiLaurentPoly)
+# Squares of ints and fractions, so that half-integer exponents evaluate.
+eval_points = st.one_of(st.integers(1, 4), coeffs.filter(bool)).map(lambda r: r * r)
+
+
+def _assert_exact(*polys):
+    """Every stored coefficient is an int, or a Fraction that is not one."""
+    for p in polys:
+        for _, c in p.terms():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+@given(mixed_polys, mixed_polys, st.integers(0, 3), eval_points, st.booleans())
+@settings(deadline=None)
+def test_coefficients_stay_exact(a, b, n, x, flag):
+    _assert_exact(a + b, a - b, a * b, a ** n, 3 * a, a + Fraction(1, 2),
+                  LaurentPoly.from_json(a.to_json()))
+    if b:
+        _assert_exact((a * b).divide_exact(b), (a * b).divide_exact(2 * b))
+    assert type(a.eval_at(x)) is Fraction
+    assert type((a * b).eval_at(x)) is Fraction
+    with pytest.raises(TypeError):
+        LaurentPoly({0: flag})
+    with pytest.raises(TypeError):
+        LaurentPoly.one() * flag
+
+
+@given(mixed_bipolys, mixed_bipolys, st.integers(0, 3), st.booleans())
+@settings(deadline=None)
+def test_bivariate_coefficients_stay_exact(a, b, n, flag):
+    _assert_exact(a + b, a - b, a * b, a ** n, (a * b).diagonal(), a.swap(),
+                  BiLaurentPoly.from_json(a.to_json()))
+    with pytest.raises(TypeError):
+        BiLaurentPoly({(0, 0): flag})
+    with pytest.raises(TypeError):
+        BiLaurentPoly.one() * flag
+
+
+@given(st.dictionaries(st.integers(-8, 8), st.integers(-5, 5), max_size=5),
+       st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                       st.integers(-5, 5), max_size=4))
+def test_integral_fractions_build_the_same_poly(uni, bi):
+    for cls, values in ((LaurentPoly, uni), (BiLaurentPoly, bi)):
+        from_ints = cls(values)
+        from_fractions = cls({k: Fraction(v) for k, v in values.items()})
+        assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
+        assert repr(from_ints) == repr(from_fractions)
