@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .filtration import _Graded
-from .laurent import BiLaurentPoly, LaurentPoly
+from .laurent import BiLaurentPoly, LaurentPoly, _exact_quotient
 
 
 class NotPrimeError(ValueError):
@@ -130,18 +130,20 @@ def mirror_difference(params: ModuliParams) -> BiLaurentPoly:
     """
     n, g = params.n, params.g
     require_prime(n)
-    scale = Fraction(n ** (2 * g) - 1, n)
     u_minus_1 = BiLaurentPoly.from_uv_powers({(1, 0): 1, (0, 0): -1})
     v_minus_1 = BiLaurentPoly.from_uv_powers({(0, 1): 1, (0, 0): -1})
     s_u = BiLaurentPoly.from_uv_powers({(e, 0): 1 for e in range(n)})
     s_v = BiLaurentPoly.from_uv_powers({(0, e): 1 for e in range(n)})
     m = params.half_dim
-    prefix = BiLaurentPoly.from_uv_powers({(m, m): 1})
+    prefix = BiLaurentPoly.from_uv_powers({(m, m): n ** (2 * g) - 1})
     # Each power has one variable, so its size grows linearly; the two
     # products are outer products of univariate factors.
     a, b = (n - 1) * (g - 1), g - 1
     bracket = u_minus_1 ** a * v_minus_1 ** a - s_u ** b * s_v ** b
-    return scale * prefix * bracket
+    # The scale's 1/n comes last, as an exact division of each
+    # coefficient, so the product runs on ints.
+    product = prefix * bracket
+    return BiLaurentPoly({key: _exact_quotient(c, n) for key, c in product.terms()})
 
 
 class CohomologyProfile(_Graded):

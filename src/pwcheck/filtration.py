@@ -206,11 +206,29 @@ def _second_cond_iii(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] 
     return min(((abs(i - m),) for i in rows if rows[2 * m - i] != rows[i]), default=None)
 
 
+def _reads_k(m: int, k: int) -> int:
+    return k
+
+
+def _reads_m(m: int, k: int) -> int:
+    return m
+
+
+def _reads_m_plus_k(m: int, k: int) -> int:
+    return m + k
+
+
+# Each entry is (label, finder, reads): the finder's result depends on
+# (m, k) only through reads(m, k), which lets the search reuse it.
 _CONDITIONS = {
     Criterion.FIRST: (
-        ("i", _first_cond_i), ("ii", _first_cond_ii), ("iii", _first_cond_iii)),
+        ("i", _first_cond_i, _reads_k),
+        ("ii", _first_cond_ii, _reads_m),
+        ("iii", _first_cond_iii, _reads_m_plus_k)),
     Criterion.SECOND: (
-        ("i", _second_cond_i), ("ii", _second_cond_ii), ("iii", _second_cond_iii)),
+        ("i", _second_cond_i, _reads_m_plus_k),
+        ("ii", _second_cond_ii, _reads_k),
+        ("iii", _second_cond_iii, _reads_m)),
 }
 
 
@@ -245,7 +263,7 @@ class CriterionReport:
 
 def _check(criterion: Criterion, table: FiltrationTable, m: int, k: int) -> CriterionReport:
     _require_mk(m, k)
-    witnesses = [(label, finder(table, m, k)) for label, finder in _CONDITIONS[criterion]]
+    witnesses = [(label, finder(table, m, k)) for label, finder, _ in _CONDITIONS[criterion]]
     failed = [(label, where) for label, where in witnesses if where is not None]
     return CriterionReport(criterion, m, k, *(where is None for _, where in witnesses),
                            is_k_sequence(table, m, k), failed[0] if failed else None)
@@ -299,7 +317,11 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
 
     An empty result over a grid is finite evidence for the criterion.
     The total number of (table, m, k) triples is checked against the
-    budget before any work happens.
+    budget before any work happens.  Each condition reads one of k, m
+    or m + k (first: k, m, m + k; second: m + k, k, m), so on each
+    table its finder runs at most once per value of that parameter and
+    the other (m, k) pairs reuse the verdict.  Results come in table
+    order, then m, then k.
     """
     ms = sorted(set(m_range))
     ks = sorted(set(k_range))
@@ -307,14 +329,21 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
 
     cells = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)]
     conditions = _CONDITIONS[which]
+    cases = [(m, k, [((label, reads(m, k)), finder) for label, finder, reads in conditions])
+             for m in ms for k in ks]
     found: list[tuple[FiltrationTable, int, int]] = []
     for values in itertools.product(range(v_max + 1), repeat=len(cells)):
         table = FiltrationTable({
             cell: v for cell, v in zip(cells, values) if v})
-        for m in ms:
-            for k in ks:
-                if any(finder(table, m, k) is not None for _, finder in conditions):
-                    continue
+        holds: dict[tuple[str, int], bool] = {}
+        for m, k, keyed in cases:
+            for key, finder in keyed:
+                ok = holds.get(key)
+                if ok is None:
+                    ok = holds[key] = finder(table, m, k) is None
+                if not ok:
+                    break
+            else:
                 if not is_k_sequence(table, m, k):
                     found.append((table, m, k))
     return found

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import tracemalloc
 
@@ -193,8 +194,93 @@ def test_every_condition_reports_its_first_witness(cells, m, k):
     table = FiltrationTable(cells)
     expected = reference_witnesses(cells, m, k)
     for criterion, conditions in filtration._CONDITIONS.items():
-        for label, finder in conditions:
+        for label, finder, _ in conditions:
             assert finder(table, m, k) == expected[(criterion.value, label)]
+
+
+MK_GRID = list(itertools.product(range(1, 6), range(0, 5)))
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 4)),
+        st.integers(1, 3), max_size=10),
+    st.sampled_from(MK_GRID),
+)
+@settings(deadline=None)
+def test_each_finder_depends_only_on_what_it_reads(cells, mk):
+    # the search reuses a finder's verdict between (m, k) pairs with one
+    # reads value, so the finder must give the same witness for all of them
+    table = FiltrationTable(cells)
+    m, k = mk
+    for conditions in filtration._CONDITIONS.values():
+        for label, finder, reads in conditions:
+            witness = finder(table, m, k)
+            for m2, k2 in MK_GRID:
+                if reads(m2, k2) == reads(m, k):
+                    assert finder(table, m2, k2) == witness, (label, (m, k), (m2, k2))
+
+
+def reference_search(conditions, i_max, j_max, v_max, m_range, k_range):
+    """Every finder on every (table, m, k), with nothing reused."""
+    cells = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)]
+    found = []
+    for values in itertools.product(range(v_max + 1), repeat=len(cells)):
+        table = FiltrationTable(dict(zip(cells, values)))
+        for m in sorted(set(m_range)):
+            for k in sorted(set(k_range)):
+                if (all(finder(table, m, k) is None for _, finder, _ in conditions)
+                        and not is_k_sequence(table, m, k)):
+                    found.append((table, m, k))
+    return found
+
+
+SMALL_BOXES = [
+    (1, 1, 1, [1, 2], [0, 1]),
+    (2, 1, 1, range(1, 4), range(0, 3)),
+    (1, 1, 2, [1, 2], [0, 1, 2]),
+    (2, 0, 2, [3, 1, 3], [2, 0]),
+    (0, 2, 2, [1, 2], [0, 1]),
+]
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+@pytest.mark.parametrize("prefix", [1, 2, 3])
+def test_search_equals_the_reference(monkeypatch, criterion, prefix):
+    # a cut-down criterion lets non-k-sequences through, so the order of
+    # a non-empty result is compared too
+    conditions = dict(filtration._CONDITIONS)
+    conditions[criterion] = conditions[criterion][:prefix]
+    monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
+    total = 0
+    for box in SMALL_BOXES:
+        hits = falsification_search(criterion, *box)
+        assert hits == reference_search(conditions[criterion], *box)
+        total += len(hits)
+    if prefix == 1 or (criterion is Criterion.FIRST and prefix == 2):
+        assert total
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_search_runs_each_finder_once_per_value_it_reads(monkeypatch, criterion):
+    calls = collections.Counter()
+
+    def counted(label, finder):
+        def call(table, m, k):
+            calls[label] += 1
+            return finder(table, m, k)
+        return call
+
+    conditions = dict(filtration._CONDITIONS)
+    conditions[criterion] = tuple((label, counted(label, finder), reads)
+                                  for label, finder, reads in conditions[criterion])
+    monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
+    ms, ks = range(1, 4), range(0, 3)    # the ksearch default box
+    assert falsification_search(criterion, 3, 2, 1, ms, ks) == []
+    tables = 2 ** 12
+    for label, _, reads in conditions[criterion]:
+        values = {reads(m, k) for m in ms for k in ks}
+        assert 0 < calls[label] <= tables * len(values), label
 
 
 def test_search_finds_nothing_on_the_small_grid():

@@ -56,6 +56,9 @@ GOLDEN = [
     ('epoly --n 13 --g 8 --format json', 0, "acaf15f56d624e5b859e26c3a2e86c69ba84a2c73806797d56b58ade76a22d91"),
     ('epoly --n 7 --g 8 --format csv', 0, "2cffce6d8802db60da8ab6ab973104268c10d2e292f75108b2df967928cf5b1d"),
     ('pw --n 13 --g 4 --format json', 0, "b39dad30c8cd3d60e25bda33b08fcd7ab99381a02e85dc2792d51ad2dd3e4f56"),
+    # The 4x4 search boxes, 65,536 tables each.
+    ('ksearch --i-max 3 --j-max 3 --criterion first --format json', 0, "5a63a15a3ae710a2b9097252dcaf5b791fbd28c2cabe16d2dddd8a45d9dea257"),
+    ('ksearch --i-max 3 --j-max 3 --criterion second --format text', 0, "efa1bdec00d5f337d7a125dd8c27094f6805ebaca42e53ab18640fa36fe37b81"),
 ]
 
 
