@@ -9,6 +9,7 @@ refinement, and the variant Betti numbers read off from it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -153,8 +154,15 @@ class CohomologyProfile(_Graded):
     """
 
     __slots__ = ()
-    _key = int
     _BAD_VALUE = "dimension at degree {} must be a nonnegative int"
+
+    @staticmethod
+    def _key(degree: int | str) -> int:
+        # An int that is no bool, or the str to_json_obj writes for one.
+        if (isinstance(degree, int) and not isinstance(degree, bool)
+                or isinstance(degree, str) and re.fullmatch(r"0|-?[1-9][0-9]*", degree)):
+            return int(degree)
+        raise ValueError(f"degree {degree!r} must be an int or its decimal str")
 
     def __getitem__(self, degree: int) -> int:
         return self._cells.get(degree, 0)

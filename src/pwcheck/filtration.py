@@ -53,6 +53,8 @@ class _Graded:
             if vtype is not int and (vtype is bool or not isinstance(value, int)) or value < 0:
                 raise ValueError(self._BAD_VALUE.format(key))
             if value:
+                if normal in data:  # two keys, such as 2 and "2", for one entry
+                    raise ValueError(f"key {key!r} repeats the key {normal!r}")
                 data[normal] = value
         object.__setattr__(self, "_cells", data)
 
@@ -108,7 +110,8 @@ class FiltrationTable(_Graded):
     @staticmethod
     def _key(key: tuple[int, int]) -> tuple[int, int]:
         i, j = key
-        if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
+        if (type(i) is not int and (type(i) is bool or not isinstance(i, int)) or i < 0
+                or type(j) is not int and (type(j) is bool or not isinstance(j, int)) or j < 0):
             raise ValueError(f"cell index {key} must be a pair of nonnegative ints")
         return i, j
 
@@ -129,9 +132,9 @@ class FiltrationTable(_Graded):
 
 
 def _require_mk(m: int, k: int) -> None:
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError("m must be an integer >= 1")
-    if not isinstance(k, int) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError("k must be an integer >= 0")
 
 
@@ -147,10 +150,10 @@ def is_k_sequence(table: FiltrationTable, m: int, k: int) -> bool:
 
 
 # The conditions of each criterion, as violation finders sharing the
-# signature (table, m, k).  A finder returns the lexicographically first
-# witness of failure, or None.  Both sides of every comparison read 0
-# unless a stored cell or a nonzero row/antidiagonal sum is involved, so
-# walking the support alone finds every failure.
+# signature (table, m, k).  A finder yields its witnesses; the report
+# takes the least, the search stops at the first.  Both sides of every
+# comparison read 0 unless a stored cell or a nonzero row/antidiagonal
+# sum is involved, so walking the support alone finds every failure.
 
 
 def _line_sums(table: FiltrationTable) -> tuple[collections.Counter, collections.Counter]:
@@ -162,73 +165,57 @@ def _line_sums(table: FiltrationTable) -> tuple[collections.Counter, collections
     return rows, diagonals
 
 
-def _first_cond_i(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
+def _first_cond_i(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Nothing strictly left of column k.
-    return min(((i, j) for i, j in table._cells if j < k), default=None)
+    return ((i, j) for i, j in table._cells if j < k)
 
 
-def _first_cond_ii(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
+def _first_cond_ii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Every column symmetric about row m: v[m-i, j] == v[m+i, j].
     get = table._cells.get
-    return min(((abs(i - m), j) for (i, j), v in table._cells.items()
-                if get((2 * m - i, j), 0) != v), default=None)
+    return ((abs(i - m), j) for (i, j), v in table._cells.items()
+            if get((2 * m - i, j), 0) != v)
 
 
-def _first_cond_iii(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
+def _first_cond_iii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Antidiagonal sums symmetric about m + k.
     _, sums = _line_sums(table)
     c = m + k
-    return min(((abs(t - c),) for t in sums if sums[2 * c - t] != sums[t]), default=None)
+    return ((abs(t - c),) for t in sums if sums[2 * c - t] != sums[t])
 
 
-def _second_cond_i(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
+def _second_cond_i(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Within column j, rows mirror about m + k - j.  A failing pair of
     # rows is witnessed at its smaller row that is >= 0.
     get = table._cells.get
-    witnesses = []
-    for (i, j), v in table._cells.items():
-        r = 2 * (m + k - j) - i
-        if get((r, j), 0) != v:
-            witnesses.append((min(i, r) if r >= 0 else i, j))
-    return min(witnesses, default=None)
+    return ((min(i, r) if r >= 0 else i, j) for (i, j), v in table._cells.items()
+            for r in (2 * (m + k - j) - i,) if get((r, j), 0) != v)
 
 
-def _second_cond_ii(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
+def _second_cond_ii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Antidiagonal k + l carries the same mass as row l, for l >= 0.
     rows, sums = _line_sums(table)
     ls = set(rows).union(t - k for t in sums if t >= k)
-    return min(((l,) for l in ls if sums[k + l] != rows[l]), default=None)
+    return ((l,) for l in ls if sums[k + l] != rows[l])
 
 
-def _second_cond_iii(table: FiltrationTable, m: int, k: int) -> tuple[int, ...] | None:
+def _second_cond_iii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Row sums symmetric about m.
     rows, _ = _line_sums(table)
-    return min(((abs(i - m),) for i in rows if rows[2 * m - i] != rows[i]), default=None)
-
-
-def _reads_k(m: int, k: int) -> int:
-    return k
-
-
-def _reads_m(m: int, k: int) -> int:
-    return m
-
-
-def _reads_m_plus_k(m: int, k: int) -> int:
-    return m + k
+    return ((abs(i - m),) for i in rows if rows[2 * m - i] != rows[i])
 
 
 # Each entry is (label, finder, reads): the finder's result depends on
 # (m, k) only through reads(m, k), which lets the search reuse it.
 _CONDITIONS = {
     Criterion.FIRST: (
-        ("i", _first_cond_i, _reads_k),
-        ("ii", _first_cond_ii, _reads_m),
-        ("iii", _first_cond_iii, _reads_m_plus_k)),
+        ("i", _first_cond_i, lambda m, k: k),
+        ("ii", _first_cond_ii, lambda m, k: m),
+        ("iii", _first_cond_iii, lambda m, k: m + k)),
     Criterion.SECOND: (
-        ("i", _second_cond_i, _reads_m_plus_k),
-        ("ii", _second_cond_ii, _reads_k),
-        ("iii", _second_cond_iii, _reads_m)),
+        ("i", _second_cond_i, lambda m, k: m + k),
+        ("ii", _second_cond_ii, lambda m, k: k),
+        ("iii", _second_cond_iii, lambda m, k: m)),
 }
 
 
@@ -263,10 +250,10 @@ class CriterionReport:
 
 def _check(criterion: Criterion, table: FiltrationTable, m: int, k: int) -> CriterionReport:
     _require_mk(m, k)
-    witnesses = [(label, finder(table, m, k)) for label, finder, _ in _CONDITIONS[criterion]]
-    failed = [(label, where) for label, where in witnesses if where is not None]
-    return CriterionReport(criterion, m, k, *(where is None for _, where in witnesses),
-                           is_k_sequence(table, m, k), failed[0] if failed else None)
+    least = {label: min(f(table, m, k), default=None) for label, f, _ in _CONDITIONS[criterion]}
+    failed = next(((label, where) for label, where in least.items() if where is not None), None)
+    return CriterionReport(criterion, m, k, *(where is None for where in least.values()),
+                           is_k_sequence(table, m, k), failed)
 
 
 def check_first_criterion(table: FiltrationTable, m: int, k: int) -> CriterionReport:
@@ -317,11 +304,12 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
 
     An empty result over a grid is finite evidence for the criterion.
     The total number of (table, m, k) triples is checked against the
-    budget before any work happens.  Each condition reads one of k, m
-    or m + k (first: k, m, m + k; second: m + k, k, m), so on each
-    table its finder runs at most once per value of that parameter and
-    the other (m, k) pairs reuse the verdict.  Results come in table
-    order, then m, then k.
+    budget before any work happens.  A finder yields its witnesses; the
+    report takes the least, the search stops at the first.  Each
+    condition reads one of k, m or m + k (first: k, m, m + k; second:
+    m + k, k, m), so on each table its finder runs at most once per
+    value of that parameter and the other (m, k) pairs reuse the
+    verdict.  Results come in table order, then m, then k.
     """
     ms = sorted(set(m_range))
     ks = sorted(set(k_range))
@@ -340,7 +328,7 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
             for key, finder in keyed:
                 ok = holds.get(key)
                 if ok is None:
-                    ok = holds[key] = finder(table, m, k) is None
+                    ok = holds[key] = next(finder(table, m, k), None) is None
                 if not ok:
                     break
             else:

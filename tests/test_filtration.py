@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import tracemalloc
 
@@ -13,6 +14,7 @@ from pwcheck.filtration import (
     FiltrationTable,
     check_first_criterion,
     check_second_criterion,
+    count_search_tables,
     falsification_search,
     is_k_sequence,
 )
@@ -72,6 +74,20 @@ def test_mk_validation():
         is_k_sequence(FiltrationTable({}), 0, 0)
     with pytest.raises(ValueError):
         check_first_criterion(FiltrationTable({}), 1, -1)
+
+
+@pytest.mark.parametrize("m, k, message", [
+    (True, 0, "m must be an integer >= 1"),
+    (1, False, "k must be an integer >= 0"),
+])
+def test_bool_m_and_k_are_rejected(m, k, message):
+    table = FiltrationTable({(1, 0): 1})
+    for check in (is_k_sequence, check_first_criterion, check_second_criterion):
+        with pytest.raises(ValueError, match=message):
+            check(table, m, k)
+    for search in (count_search_tables, functools.partial(falsification_search, Criterion.FIRST)):
+        with pytest.raises(ValueError, match=message):
+            search(1, 1, 1, [m], [k])
 
 
 def test_first_criterion_catches_left_support():
@@ -195,7 +211,32 @@ def test_every_condition_reports_its_first_witness(cells, m, k):
     expected = reference_witnesses(cells, m, k)
     for criterion, conditions in filtration._CONDITIONS.items():
         for label, finder, _ in conditions:
-            assert finder(table, m, k) == expected[(criterion.value, label)]
+            assert min(finder(table, m, k), default=None) == expected[(criterion.value, label)]
+
+
+TABLES = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 4)), st.integers(1, 3), max_size=10)
+
+
+@given(TABLES, st.integers(1, 5), st.integers(0, 4))
+def test_every_finder_is_a_lazy_iterator(cells, m, k):
+    # the search reads one witness, so a finder must not build them all
+    table = FiltrationTable(cells)
+    for conditions in filtration._CONDITIONS.values():
+        for label, finder, _ in conditions:
+            witnesses = finder(table, m, k)
+            assert iter(witnesses) is witnesses, label
+
+
+@given(TABLES, st.integers(1, 5), st.integers(0, 4))
+@settings(deadline=None)
+def test_the_first_witness_decides_as_the_report_does(cells, m, k):
+    table = FiltrationTable(cells)
+    for criterion, conditions in filtration._CONDITIONS.items():
+        report = filtration._check(criterion, table, m, k)
+        for label, finder, _ in conditions:
+            holds = next(finder(table, m, k), None) is None
+            assert holds == getattr(report, f"cond_{label}"), (criterion, label)
 
 
 MK_GRID = list(itertools.product(range(1, 6), range(0, 5)))
@@ -215,10 +256,11 @@ def test_each_finder_depends_only_on_what_it_reads(cells, mk):
     m, k = mk
     for conditions in filtration._CONDITIONS.values():
         for label, finder, reads in conditions:
-            witness = finder(table, m, k)
+            witness = min(finder(table, m, k), default=None)
             for m2, k2 in MK_GRID:
                 if reads(m2, k2) == reads(m, k):
-                    assert finder(table, m2, k2) == witness, (label, (m, k), (m2, k2))
+                    assert min(finder(table, m2, k2), default=None) == witness, (
+                        label, (m, k), (m2, k2))
 
 
 def reference_search(conditions, i_max, j_max, v_max, m_range, k_range):
@@ -229,7 +271,8 @@ def reference_search(conditions, i_max, j_max, v_max, m_range, k_range):
         table = FiltrationTable(dict(zip(cells, values)))
         for m in sorted(set(m_range)):
             for k in sorted(set(k_range)):
-                if (all(finder(table, m, k) is None for _, finder, _ in conditions)
+                if (all(min(finder(table, m, k), default=None) is None
+                        for _, finder, _ in conditions)
                         and not is_k_sequence(table, m, k)):
                     found.append((table, m, k))
     return found

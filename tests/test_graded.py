@@ -15,6 +15,10 @@ CASES = [
     pytest.param(CohomologyProfile, {3: 2, 1: 5, 7: 0},
                  "CohomologyProfile({1: 5, 3: 2})", '{"1":5,"3":2}', 6,
                  id="profile"),
+    # A degree may also come as the str to_json_obj writes for it.
+    pytest.param(CohomologyProfile, {"-2": 1, 0: 4, "13": 0},
+                 "CohomologyProfile({-2: 1, 0: 4})", '{"-2":1,"0":4}', 13,
+                 id="profile-str-degrees"),
 ]
 
 
@@ -52,6 +56,17 @@ def test_the_two_classes_never_compare_equal():
     (CohomologyProfile, {3: -1}, "dimension at degree 3 must be a nonnegative int"),
     (CohomologyProfile, {3: True}, "dimension at degree 3 must be a nonnegative int"),
     (CohomologyProfile, {"3": "2"}, "dimension at degree 3 must be a nonnegative int"),
+    # A degree is an int that is no bool, or the str to_json_obj writes.
+    (CohomologyProfile, {2.5: 1}, "degree 2.5 must be an int or its decimal str"),
+    (CohomologyProfile, {2.0: 3}, "degree 2.0 must be an int or its decimal str"),
+    (CohomologyProfile, {True: 1}, "degree True must be an int or its decimal str"),
+    (CohomologyProfile, {"2_0": 1}, "degree '2_0' must be an int or its decimal str"),
+    (CohomologyProfile, {" 3": 1}, "degree ' 3' must be an int or its decimal str"),
+    (CohomologyProfile, {"03": 1}, "degree '03' must be an int or its decimal str"),
+    (CohomologyProfile, {"-0": 1}, "degree '-0' must be an int or its decimal str"),
+    (CohomologyProfile, {2: 1, "2": 3}, "key '2' repeats the key 2"),
+    (FiltrationTable, {(True, 0): 1}, "cell index (True, 0) must be a pair of nonnegative ints"),
+    (FiltrationTable, {(0, False): 1}, "cell index (0, False) must be a pair of nonnegative ints"),
 ])
 def test_validation_messages(cls, cells, message):
     with pytest.raises(ValueError) as info:
@@ -65,6 +80,12 @@ def test_validation_messages(cls, cells, message):
     (FiltrationTable, '[[1,1,"2"]]', ValueError),
     (CohomologyProfile, '{"2":3.9}', ValueError),
     (CohomologyProfile, '{"2":"3"}', ValueError),
+    (FiltrationTable, "[[true,0,1]]", ValueError),
+    (FiltrationTable, "[[0,false,1]]", ValueError),
+    (CohomologyProfile, '{"2_0":1}', ValueError),
+    (CohomologyProfile, '{" 3":1}', ValueError),
+    (CohomologyProfile, '{"2.5":1}', ValueError),
+    (CohomologyProfile, '{"+2":1}', ValueError),
     (LaurentPoly, "[[0,0.5]]", TypeError),
     (BiLaurentPoly, "[[0,0,0.5]]", TypeError),
     (LaurentPoly, "[[0,true]]", TypeError),
