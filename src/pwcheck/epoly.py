@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .filtration import _Graded
+from .filtration import _Graded, _Record
 from .laurent import BiLaurentPoly, LaurentPoly, _exact_quotient
 
 
@@ -46,26 +45,23 @@ def require_prime(n: int) -> None:
         raise NotPrimeError(f"rank {n} is not prime")
 
 
-@dataclass(frozen=True)
-class ModuliParams:
+class ModuliParams(_Record):
     """Rank, genus and twisting degree, with the derived numerology.
 
     The degree d only has to be coprime to n; results are independent
     of its actual value.
     """
 
-    n: int
-    g: int
-    d: int = 1
+    __slots__ = ("n", "g", "d")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+    def __init__(self, n: int, g: int, d: int = 1):
+        if not isinstance(n, int) or n < 2:
             raise ValueError("rank n must be an integer >= 2")
-        if not isinstance(self.g, int) or self.g < 2:
+        if not isinstance(g, int) or g < 2:
             raise ValueError("genus g must be an integer >= 2")
-        d = self.d
-        if not isinstance(d, int) or isinstance(d, bool) or math.gcd(self.n, d) != 1:
+        if not isinstance(d, int) or isinstance(d, bool) or math.gcd(n, d) != 1:
             raise ValueError("degree d must be an integer coprime to n")
+        super().__init__(n, g, d)
 
     @property
     def dim(self) -> int:

@@ -15,10 +15,8 @@ import collections
 import enum
 import itertools
 import json
-from dataclasses import dataclass, fields
 from typing import Any, Iterable, Iterator, Mapping, TypeVar
 
-Witness = tuple[str, tuple[int, ...]]
 _G = TypeVar("_G", bound="_Graded")
 
 # The most (table, m, k) cases a search visits unless given a budget.
@@ -61,6 +59,10 @@ class _Graded:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self) -> tuple:
+        # Rebuilt through the constructor: copy and pickle cannot set a slot.
+        return type(self), (self._cells,)
+
     def items(self) -> Iterator[tuple[Any, int]]:
         for key in sorted(self._cells):
             yield key, self._cells[key]
@@ -92,6 +94,55 @@ class _Graded:
     @classmethod
     def from_json(cls: type[_G], text: str) -> _G:
         return cls.from_json_obj(json.loads(text))
+
+
+class _Record:
+    """Immutable record of named fields, equal to a record of its own class
+    with equal fields, printed as ``Name(field=value, ...)``.
+
+    A subclass lists its field names, in order, as ``__slots__``; it is
+    built from them positionally or by keyword.  A dataclass would do the
+    same, but importing ``dataclasses`` loads ``inspect`` and ``ast``, and
+    every CLI call pays for that at start-up.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        names = self.__slots__
+        given = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in given:
+                raise TypeError(
+                    f"{type(self).__name__}() got an unexpected or repeated argument {name!r}")
+            given[name] = value
+        if len(args) > len(names) or len(given) < len(names):
+            raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, given[name])
+
+    def __setattr__(self, *args: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({inner})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
 class FiltrationTable(_Graded):
@@ -219,25 +270,21 @@ _CONDITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    """Outcome of evaluating one criterion on one table."""
+class CriterionReport(_Record):
+    """Outcome of evaluating one criterion on one table: the criterion,
+    (m, k), each condition's verdict, whether the table is a k-sequence,
+    and the least failure witness of the first failing condition, if any.
+    """
 
-    criterion: Criterion
-    m: int
-    k: int
-    cond_i: bool
-    cond_ii: bool
-    cond_iii: bool
-    is_k_seq: bool
-    first_violation: Witness | None
+    __slots__ = ("criterion", "m", "k", "cond_i", "cond_ii", "cond_iii", "is_k_seq",
+                 "first_violation")
 
     @property
     def passed(self) -> bool:
         return self.cond_i and self.cond_ii and self.cond_iii
 
     def to_json_obj(self) -> dict:
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj = {name: getattr(self, name) for name in self.__slots__}
         obj["criterion"] = self.criterion.value
         if self.first_violation is not None:
             label, where = self.first_violation

@@ -12,7 +12,6 @@ the level of graded dimensions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .epoly import (
     InconsistentFormulaError,
@@ -21,8 +20,8 @@ from .epoly import (
     variant_betti,
 )
 from .filtration import (
-    CriterionReport,
     FiltrationTable,
+    _Record,
     check_first_criterion,
     check_second_criterion,
 )
@@ -78,16 +77,14 @@ def weight_table(params: ModuliParams) -> FiltrationTable:
     return FiltrationTable(cells)
 
 
-@dataclass(frozen=True)
-class PWReport:
-    """Everything verify_pw established for one parameter choice."""
+class PWReport(_Record):
+    """Everything verify_pw established for one parameter choice: the
+    parameters, both tables, each table's criterion report, and whether
+    the tables are equal.
+    """
 
-    params: ModuliParams
-    perverse: FiltrationTable
-    weight: FiltrationTable
-    perverse_check: CriterionReport
-    weight_check: CriterionReport
-    tables_equal: bool
+    __slots__ = ("params", "perverse", "weight", "perverse_check", "weight_check",
+                 "tables_equal")
 
     @property
     def holds(self) -> bool:

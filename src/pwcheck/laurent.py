@@ -103,8 +103,9 @@ class _SparsePoly:
     """Immutable map from exponent keys to nonzero exact coefficients.
 
     The code of LaurentPoly and BiLaurentPoly that does not depend on the
-    number of variables.  A subclass sets ``_key``, which normalises a
-    key, and ``_UNIT``, the key of the constant term.
+    number of variables.  A subclass sets ``_key``, which checks a key and
+    returns it or raises ValueError, ``_UNIT``, the key of the constant
+    term, and ``_PLAIN_KEY``, the type of a key that needs no check.
     """
 
     __slots__ = ("_c",)
@@ -112,12 +113,16 @@ class _SparsePoly:
     def __init__(self, coeffs: Mapping[Any, CoeffLike] | None = None):
         data: dict[Any, int | Fraction] = {}
         if coeffs:
-            key = self._key
+            key, plain = self._key, self._PLAIN_KEY
             for k, c in coeffs.items():
-                if type(c) is not int:  # an exact int, the usual case, is stored as is
+                # An exact int, the usual key of LaurentPoly and the usual
+                # coefficient, is stored as is, without a per-term call.
+                if type(k) is not plain:
+                    k = key(k)
+                if type(c) is not int:
                     c = _coerce(c)
                 if c:
-                    data[key(k)] = c
+                    data[k] = c
         object.__setattr__(self, "_c", data)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -216,8 +221,14 @@ class LaurentPoly(_SparsePoly):
     """
 
     __slots__ = ()
-    _key = int
     _UNIT = 0
+    _PLAIN_KEY = int
+
+    @staticmethod
+    def _key(key: int) -> int:
+        # Reached only by a key that is not an exact int: a bool, a float
+        # or a str is refused, never rounded or parsed.
+        raise ValueError(f"exponent key {key!r} must be an int")
 
     # -- constructors ------------------------------------------------
 
@@ -381,11 +392,14 @@ class BiLaurentPoly(_SparsePoly):
 
     __slots__ = ()
     _UNIT = (0, 0)
+    _PLAIN_KEY = None  # every key is checked
 
     @staticmethod
     def _key(key: tuple[int, int]) -> tuple[int, int]:
-        tu, tv = key
-        return int(tu), int(tv)
+        if (type(key) is not tuple or len(key) != 2
+                or type(key[0]) is not int or type(key[1]) is not int):
+            raise ValueError(f"exponent key {key!r} must be a pair of ints")
+        return key
 
     @classmethod
     def from_uv_powers(cls, coeffs: Mapping[tuple[int, int], CoeffLike]) -> "BiLaurentPoly":

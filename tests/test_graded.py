@@ -1,5 +1,9 @@
 """The graded-dimension core shared by FiltrationTable and CohomologyProfile,
-and the JSON readers, which accept only what the constructors accept."""
+the key and value checks of the graded and polynomial constructors, and
+the JSON readers, which accept only what the constructors accept."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -67,6 +71,19 @@ def test_the_two_classes_never_compare_equal():
     (CohomologyProfile, {2: 1, "2": 3}, "key '2' repeats the key 2"),
     (FiltrationTable, {(True, 0): 1}, "cell index (True, 0) must be a pair of nonnegative ints"),
     (FiltrationTable, {(0, False): 1}, "cell index (0, False) must be a pair of nonnegative ints"),
+    # An exponent key is an exact int, or a pair of them, never rounded
+    # or parsed; a zero coefficient does not excuse a bad key.
+    (LaurentPoly, {2.5: 1}, "exponent key 2.5 must be an int"),
+    (LaurentPoly, {2.0: 1}, "exponent key 2.0 must be an int"),
+    (LaurentPoly, {True: 1}, "exponent key True must be an int"),
+    (LaurentPoly, {2: 1, "2": 3}, "exponent key '2' must be an int"),
+    (LaurentPoly, {2.5: 0}, "exponent key 2.5 must be an int"),
+    (BiLaurentPoly, {(0.5, True): 1}, "exponent key (0.5, True) must be a pair of ints"),
+    (BiLaurentPoly, {(0, False): 1}, "exponent key (0, False) must be a pair of ints"),
+    (BiLaurentPoly, {(0, 0): 1, (0, "0"): 3}, "exponent key (0, '0') must be a pair of ints"),
+    (BiLaurentPoly, {(0, 0, 0): 1}, "exponent key (0, 0, 0) must be a pair of ints"),
+    (BiLaurentPoly, {2: 1}, "exponent key 2 must be a pair of ints"),
+    (BiLaurentPoly, {(2.0, 0): 0}, "exponent key (2.0, 0) must be a pair of ints"),
 ])
 def test_validation_messages(cls, cells, message):
     with pytest.raises(ValueError) as info:
@@ -90,7 +107,22 @@ def test_validation_messages(cls, cells, message):
     (BiLaurentPoly, "[[0,0,0.5]]", TypeError),
     (LaurentPoly, "[[0,true]]", TypeError),
     (BiLaurentPoly, "[[0,0,false]]", TypeError),
+    (LaurentPoly, "[[2.5,1]]", ValueError),
+    (LaurentPoly, "[[true,1]]", ValueError),
+    (LaurentPoly, '[["2",1]]', ValueError),
+    (BiLaurentPoly, "[[0.5,0,1]]", ValueError),
+    (BiLaurentPoly, "[[0,true,1]]", ValueError),
+    (BiLaurentPoly, '[[0,"2",1]]', ValueError),
 ])
 def test_json_readers_reject_what_the_constructors_reject(cls, text, error):
     with pytest.raises(error):
         cls.from_json(text)
+
+
+@pytest.mark.parametrize("value", [
+    FiltrationTable({(1, 2): 3, (0, 0): 1}),
+    CohomologyProfile({-2: 1, 3: 4}),
+])
+def test_copy_and_pickle_round_trips(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)

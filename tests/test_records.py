@@ -1,0 +1,121 @@
+"""The three result records, ModuliParams, CriterionReport and PWReport:
+construction, value equality, hashing, repr, immutability and copying."""
+
+import copy
+import pickle
+
+import pytest
+
+from pwcheck.epoly import ModuliParams
+from pwcheck.filtration import Criterion, CriterionReport, FiltrationTable
+from pwcheck.hitchin import PWReport
+
+PARAMS = {"n": 2, "g": 2, "d": 1}
+PERVERSE_CHECK = {"criterion": Criterion.FIRST, "m": 3, "k": 2, "cond_i": True,
+                  "cond_ii": True, "cond_iii": True, "is_k_seq": True,
+                  "first_violation": None}
+WEIGHT_CHECK = {"criterion": Criterion.SECOND, "m": 3, "k": 2, "cond_i": True,
+                "cond_ii": False, "cond_iii": True, "is_k_seq": False,
+                "first_violation": ("ii", (1,))}
+PW = {"params": ModuliParams(**PARAMS), "perverse": FiltrationTable({(3, 2): 30}),
+      "weight": FiltrationTable({(3, 2): 30}),
+      "perverse_check": CriterionReport(**PERVERSE_CHECK),
+      "weight_check": CriterionReport(**WEIGHT_CHECK), "tables_equal": True}
+
+PARAMS_REPR = "ModuliParams(n=2, g=2, d=1)"
+PERVERSE_REPR = ("CriterionReport(criterion=<Criterion.FIRST: 'first'>, m=3, k=2, "
+                 "cond_i=True, cond_ii=True, cond_iii=True, is_k_seq=True, "
+                 "first_violation=None)")
+WEIGHT_REPR = ("CriterionReport(criterion=<Criterion.SECOND: 'second'>, m=3, k=2, "
+               "cond_i=True, cond_ii=False, cond_iii=True, is_k_seq=False, "
+               "first_violation=('ii', (1,)))")
+
+# (class, field values in declaration order, exact repr)
+CASES = [
+    pytest.param(ModuliParams, PARAMS, PARAMS_REPR, id="params"),
+    pytest.param(CriterionReport, PERVERSE_CHECK, PERVERSE_REPR, id="criterion"),
+    pytest.param(CriterionReport, WEIGHT_CHECK, WEIGHT_REPR, id="criterion-failed"),
+    pytest.param(PWReport, PW, (
+        f"PWReport(params={PARAMS_REPR}, perverse=FiltrationTable({{(3, 2): 30}}), "
+        f"weight=FiltrationTable({{(3, 2): 30}}), perverse_check={PERVERSE_REPR}, "
+        f"weight_check={WEIGHT_REPR}, tables_equal=True)"), id="pw"),
+]
+
+
+def _changed(values):
+    """The same fields with the last one given another value."""
+    name = list(values)[-1]
+    return {**values, name: 3 if name == "d" else not values[name]}
+
+
+@pytest.mark.parametrize("cls, values, text", CASES)
+def test_fields_and_construction(cls, values, text):
+    record = cls(*values.values())
+    for name, value in values.items():
+        assert getattr(record, name) == value
+    assert cls(**values) == record
+    first, *rest = values
+    assert cls(values[first], **{name: values[name] for name in rest}) == record
+    assert repr(record) == text
+
+
+def test_degree_defaults_to_one():
+    assert ModuliParams(2, 2) == ModuliParams(2, 2, 1) == ModuliParams(n=2, g=2)
+    assert ModuliParams(3, 2).d == 1
+
+
+@pytest.mark.parametrize("cls, values, text", CASES)
+def test_value_equality_and_hash(cls, values, text):
+    record, same, other = cls(**values), cls(**values), cls(**_changed(values))
+    assert record == same and not record != same and hash(record) == hash(same)
+    assert record != other and not record == other
+    # Same class only: the field tuple, or a record of another class,
+    # is never equal.
+    fields = tuple(values.values())
+    assert record != fields and record.__eq__(fields) is NotImplemented
+    for stranger in (ModuliParams(3, 2), CriterionReport(**WEIGHT_CHECK)):
+        if type(stranger) is not cls:
+            assert record != stranger and record.__eq__(stranger) is NotImplemented
+    assert len({record, same, other}) == 2
+
+
+@pytest.mark.parametrize("cls, values, text", CASES)
+def test_wrong_argument_lists_raise_type_error(cls, values, text):
+    args = list(values.values())
+    with pytest.raises(TypeError):
+        cls(*args[:1])
+    with pytest.raises(TypeError):
+        cls(*args, 0)
+    with pytest.raises(TypeError):
+        cls(*args, extra=0)
+    with pytest.raises(TypeError):
+        cls(*args, **{list(values)[0]: args[0]})
+
+
+@pytest.mark.parametrize("cls, values, text", CASES)
+def test_records_are_immutable(cls, values, text):
+    record = cls(**values)
+    for name in (*values, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    for name in values:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(**values)
+
+
+@pytest.mark.parametrize("cls, values, text", CASES)
+def test_copy_and_pickle_round_trips(cls, values, text):
+    record = cls(**values)
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record and repr(twin) == text
+
+
+@pytest.mark.parametrize("cls, values, text", CASES)
+def test_assignment_error_names_the_class(cls, values, text):
+    record = cls(**values)
+    for change in (lambda: setattr(record, "other", 0), lambda: delattr(record, list(values)[0])):
+        with pytest.raises(AttributeError) as info:
+            change()
+        assert str(info.value) == f"{cls.__name__} is immutable"
