@@ -22,5 +22,5 @@ two_var = mirror_difference(params)
 terms = list(two_var.terms())
 print(f"rank 3, genus 3 refinement has {len(terms)} terms; a few of them:")
 for key, coeff in terms[:4]:
-    print(f"  u^{key[0] // 2} v^{key[1] // 2} -> {coeff}")
+    print(f"  u^{key[0]} v^{key[1]} -> {coeff}")
 print(f"diagonal equals closed form: {two_var.diagonal() == closed_e(params)}")

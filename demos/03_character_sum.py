@@ -40,6 +40,6 @@ print()
 # E-polynomial.
 evar = evar_from_types(params)
 shift = (n * n + n - 2) * (g - 1)
-lifted = evar * LaurentPoly.from_q_powers({shift: 1})
+lifted = evar * LaurentPoly({shift: 1})
 print(f"shifted by q^{shift}:      {lifted}")
 print(f"matches closed E:     {lifted == closed_e(params)}")

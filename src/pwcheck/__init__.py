@@ -43,7 +43,6 @@ from .laurent import (
     EvalDomainError,
     InexactDivisionError,
     LaurentPoly,
-    ParityError,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +62,6 @@ __all__ = [
     "ModuliParams",
     "NotPrimeError",
     "PWReport",
-    "ParityError",
     "SpecialType",
     "check_first_criterion",
     "check_second_criterion",

@@ -44,7 +44,7 @@ def cmd_epoly(args: argparse.Namespace) -> tuple[int, object]:
         return 0, poly.to_json_obj()
     if args.format == "csv":
         return 0, "\n".join(["twice_exponent,coefficient",
-                             *(f"{t},{c}" for t, c in poly.terms())])
+                             *(f"{2 * e},{c}" for e, c in poly.terms())])
     return 0, str(poly)
 
 
@@ -89,7 +89,7 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
 
     def evar_shift():
         shift = (n * n + n - 2) * (g - 1)
-        lhs = evar_from_types(params) * LaurentPoly.from_q_powers({shift: 1})
+        lhs = evar_from_types(params) * LaurentPoly({shift: 1})
         return lhs == closed_e(params), f"shift q^{shift}"
 
     def euler():

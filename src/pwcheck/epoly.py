@@ -98,8 +98,8 @@ def variant_bracket(n: int, g: int) -> LaurentPoly:
     """
     bracket = _BRACKET_MEMO.get((n, g))
     if bracket is None:
-        q_minus_1 = LaurentPoly.from_q_powers({1: 1, 0: -1})
-        cyclo_sum = LaurentPoly.from_q_powers({e: 1 for e in range(n)})
+        q_minus_1 = LaurentPoly({1: 1, 0: -1})
+        cyclo_sum = LaurentPoly({e: 1 for e in range(n)})
         bracket = q_minus_1 ** ((n - 1) * (2 * g - 2)) - cyclo_sum ** (2 * g - 2)
         _BRACKET_MEMO.clear()
         _BRACKET_MEMO[(n, g)] = bracket
@@ -114,7 +114,7 @@ def closed_e(params: ModuliParams) -> LaurentPoly:
     n, g = params.n, params.g
     require_prime(n)
     scale = Fraction(n ** (2 * g) - 1, n)
-    prefix = LaurentPoly.from_q_powers({params.dim: 1})
+    prefix = LaurentPoly({params.dim: 1})
     return scale * prefix * variant_bracket(n, g)
 
 
@@ -127,12 +127,12 @@ def mirror_difference(params: ModuliParams) -> BiLaurentPoly:
     """
     n, g = params.n, params.g
     require_prime(n)
-    u_minus_1 = BiLaurentPoly.from_uv_powers({(1, 0): 1, (0, 0): -1})
-    v_minus_1 = BiLaurentPoly.from_uv_powers({(0, 1): 1, (0, 0): -1})
-    s_u = BiLaurentPoly.from_uv_powers({(e, 0): 1 for e in range(n)})
-    s_v = BiLaurentPoly.from_uv_powers({(0, e): 1 for e in range(n)})
+    u_minus_1 = BiLaurentPoly({(1, 0): 1, (0, 0): -1})
+    v_minus_1 = BiLaurentPoly({(0, 1): 1, (0, 0): -1})
+    s_u = BiLaurentPoly({(e, 0): 1 for e in range(n)})
+    s_v = BiLaurentPoly({(0, e): 1 for e in range(n)})
     m = params.half_dim
-    prefix = BiLaurentPoly.from_uv_powers({(m, m): n ** (2 * g) - 1})
+    prefix = BiLaurentPoly({(m, m): n ** (2 * g) - 1})
     # Each power has one variable, so its size grows linearly; the two
     # products are outer products of univariate factors.
     a, b = (n - 1) * (g - 1), g - 1
@@ -200,7 +200,7 @@ def variant_betti(params: ModuliParams) -> CohomologyProfile:
     """
     e = closed_e(params)
     dims: dict[int, int] = {}
-    for exponent, coeff in e.to_q_dict().items():
+    for exponent, coeff in e.terms():
         deg = 2 * params.dim - exponent
         value = coeff if deg % 2 == 0 else -coeff
         if value.denominator != 1 or value <= 0:

@@ -56,8 +56,10 @@ class _Graded:
                 data[normal] = value
         object.__setattr__(self, "_cells", data)
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, *args: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self) -> tuple:
         # Rebuilt through the constructor: copy and pickle cannot set a slot.

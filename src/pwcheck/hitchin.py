@@ -66,7 +66,7 @@ def weight_table(params: ModuliParams) -> FiltrationTable:
     evar = evar_from_types(params)
     m, c = params.half_dim, params.curious_shift
     cells: dict[tuple[int, int], int] = {}
-    for e, coeff in evar.to_q_dict().items():
+    for e, coeff in evar.terms():
         degree = 2 * m + c - e
         value = coeff if degree % 2 == 0 else -coeff
         level = 2 * m - e

@@ -37,14 +37,15 @@ _COUNT_SIGNS = {
 def special_hook(kind: SpecialType, n: int) -> LaurentPoly:
     """Normalized hook polynomial of one special family.
 
-    Split: q^{-n/2} (1-q)^n.  Nonsplit: q^{-n/2} (1-q^n).
-    Half-integer exponents appear for odd n.
+    Split: q^{(n^2-n)/2} (1-q)^n.  Nonsplit: q^{(n^2-n)/2} (1-q^n).
+    The shift is the hook's own q^{-n/2} times the q^{n^2/2} of its
+    contribution; for odd n each factor alone has a half-integer exponent.
     """
     require_prime(n)
-    shift = LaurentPoly.monomial(-n)
+    shift = LaurentPoly({(n * n - n) // 2: 1})
     if kind is SpecialType.SPLIT:
-        return shift * LaurentPoly.from_q_powers({0: 1, 1: -1}) ** n
-    return shift * LaurentPoly.from_q_powers({0: 1, n: -1})
+        return shift * LaurentPoly({0: 1, 1: -1}) ** n
+    return shift * LaurentPoly({0: 1, n: -1})
 
 
 def count_multiplier(kind: SpecialType, n: int, g: int) -> Fraction:
@@ -55,15 +56,11 @@ def count_multiplier(kind: SpecialType, n: int, g: int) -> Fraction:
 
 
 def type_contribution(hook: LaurentPoly, n: int, g: int) -> LaurentPoly:
-    """(q^{n^2/2} * hook / (q - 1))^{2g-2}.
+    """(hook / (q - 1))^{2g-2}, for the hook of rank n.
 
-    The division is exact for both hooks; the result always has integer
-    exponents even though hook and prefactor individually do not.
+    The division is exact for both hooks.
     """
-    prefix = LaurentPoly.monomial(n * n)
-    q_minus_1 = LaurentPoly.from_q_powers({1: 1, 0: -1})
-    base = (prefix * hook).divide_exact(q_minus_1)
-    return base ** (2 * g - 2)
+    return hook.divide_exact(LaurentPoly({1: 1, 0: -1})) ** (2 * g - 2)
 
 
 def evar_type_route(params: ModuliParams) -> LaurentPoly:
@@ -86,20 +83,18 @@ def evar_closed_route(params: ModuliParams) -> LaurentPoly:
     """
     n, g = params.n, params.g
     shift = (n * n + n - 2) * (g - 1)
-    return closed_e(params) * LaurentPoly.monomial(-2 * shift)
+    return closed_e(params) * LaurentPoly({-shift: 1})
 
 
 def evar_from_types(params: ModuliParams) -> LaurentPoly:
     """Variant E-polynomial with both derivations cross-checked.
 
     Raises IdentityFailureError if the character sum and the closed
-    formula disagree, and ParityError if a half-integer exponent
-    survives (it never should).
+    formula disagree.
     """
     from_types = evar_type_route(params)
     from_closed = evar_closed_route(params)
     if from_types != from_closed:
         raise IdentityFailureError(
             f"character sum disagrees with closed form for n={params.n} g={params.g}")
-    from_types.to_q_dict()
     return from_types

@@ -1,13 +1,13 @@
 """Exact Laurent polynomials in one or two variables over the rationals.
 
-Exponents may be half-integers.  Internally every exponent is stored as
-*twice* its value, so the key ``5`` means ``q**(5/2)`` and the key ``6``
-means ``q**3``.  A coefficient is stored as an ``int`` when it is
-integral and as a ``fractions.Fraction`` (denominator > 1) otherwise; no
-floats ever appear, so equality of polynomials is exact.  The two
-variants print, serialise and hash alike: ``str(3) == str(Fraction(3))``.
+Exponents are integers: the key ``3`` means ``q**3``.  A coefficient is
+stored as an ``int`` when it is integral and as a ``fractions.Fraction``
+(denominator > 1) otherwise; no floats ever appear, so equality of
+polynomials is exact.  The two variants print, serialise and hash alike:
+``str(3) == str(Fraction(3))``.  For compatibility the JSON form writes
+each exponent doubled and reads back only even keys.
 
->>> p = LaurentPoly({2: 1, 0: -2, -2: 1})      # q - 2 + q**-1
+>>> p = LaurentPoly({1: 1, 0: -2, -1: 1})      # q - 2 + q**-1
 >>> print(p * p)
 q^2 - 4*q + 6 - 4*q^-1 + q^-2
 >>> print((p * p).divide_exact(p))
@@ -17,27 +17,20 @@ q - 2 + q^-1
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from typing import Any, Iterator, Mapping, TypeVar, Union
 
 CoeffLike = Union[int, str, Fraction]
 
-_ZERO = 0
-
 _P = TypeVar("_P", bound="_SparsePoly")
 
 
 class EvalDomainError(ValueError):
-    """Evaluation point is outside the domain (bad square root or 0**neg)."""
+    """Evaluation point is outside the domain (0 to a negative power)."""
 
 
 class InexactDivisionError(ArithmeticError):
     """Laurent division left a nonzero remainder."""
-
-
-class ParityError(ArithmeticError):
-    """A half-integer exponent appeared where integers were required."""
 
 
 def _coerce(value: CoeffLike) -> int | Fraction:
@@ -57,29 +50,17 @@ def _exact_quotient(x: int | Fraction, y: int | Fraction) -> int | Fraction:
     return _coerce(Fraction(x) / y)
 
 
-def _exact_sqrt(x: Fraction) -> Fraction:
-    """Return the nonnegative rational square root of x, or raise.
-
-    >>> _exact_sqrt(Fraction(9, 4))
-    Fraction(3, 2)
-    """
-    if x < 0:
-        raise EvalDomainError("negative value has no rational square root")
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn != x.numerator or rd * rd != x.denominator:
-        raise EvalDomainError(f"{x} is not the square of a rational")
-    return Fraction(rn, rd)
+def _from_twice(key: object) -> int:
+    """A twice-exponent key of the JSON form as the exponent it doubles."""
+    if type(key) is not int or key % 2:
+        raise ValueError(f"twice-exponent key {key!r} must be an even int")
+    return key // 2
 
 
-def _format_q_power(twice: int) -> str:
-    if twice == 0:
+def _format_q_power(e: int) -> str:
+    if e == 0:
         return ""
-    if twice == 2:
-        return "q"
-    if twice % 2 == 0:
-        return f"q^{twice // 2}"
-    return f"q^({twice}/2)"
+    return "q" if e == 1 else f"q^{e}"
 
 
 def _format_terms(pairs: list[tuple[str, int | Fraction]]) -> str:
@@ -125,8 +106,14 @@ class _SparsePoly:
                     data[k] = c
         object.__setattr__(self, "_c", data)
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, *args: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through the constructor: copy and pickle cannot set a slot.
+        return type(self), (self._c,)
 
     @classmethod
     def zero(cls: type[_P]) -> _P:
@@ -186,7 +173,7 @@ class _SparsePoly:
     def _power(self: _P, n: int) -> _P:
         """Nonnegative integer power by binary exponentiation.
 
-        >>> print(LaurentPoly.from_q_powers({1: 1, 0: -1}) ** 3)
+        >>> print(LaurentPoly({1: 1, 0: -1}) ** 3)
         q^3 - 3*q^2 + 3*q - 1
         """
         if not isinstance(n, int) or n < 0:
@@ -209,13 +196,13 @@ class _SparsePoly:
 
 
 class LaurentPoly(_SparsePoly):
-    """Immutable sparse Laurent polynomial in q with half-integer exponents.
+    """Immutable sparse Laurent polynomial in q.
 
-    The constructor takes a mapping from twice-exponents to coefficients.
+    The constructor takes a mapping from exponents to coefficients.
     Zero coefficients are dropped, so the zero polynomial is falsy.
 
-    >>> LaurentPoly({4: 3, 0: "1/2"})
-    LaurentPoly({0: Fraction(1, 2), 4: 3})
+    >>> LaurentPoly({2: 3, 0: "1/2"})
+    LaurentPoly({0: Fraction(1, 2), 2: 3})
     >>> bool(LaurentPoly({}))
     False
     """
@@ -230,43 +217,13 @@ class LaurentPoly(_SparsePoly):
         # or a str is refused, never rounded or parsed.
         raise ValueError(f"exponent key {key!r} must be an int")
 
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def monomial(cls, twice: int, coeff: CoeffLike = 1) -> "LaurentPoly":
-        """c * q**(twice/2)."""
-        return cls({twice: coeff})
-
-    @classmethod
-    def from_q_powers(cls, coeffs: Mapping[int, CoeffLike]) -> "LaurentPoly":
-        """Build from a mapping of ordinary integer exponents.
-
-        >>> print(LaurentPoly.from_q_powers({1: 1, 0: -1}))
-        q - 1
-        """
-        return cls({2 * e: c for e, c in coeffs.items()})
-
     # -- inspection --------------------------------------------------
 
     def degree_bounds(self) -> tuple[int, int]:
-        """(min, max) twice-exponent of the support; raises on zero."""
+        """(min, max) exponent of the support; raises on zero."""
         if not self._c:
             raise ValueError("the zero polynomial has no degree bounds")
         return min(self._c), max(self._c)
-
-    @property
-    def has_integer_exponents(self) -> bool:
-        return all(t % 2 == 0 for t in self._c)
-
-    def to_q_dict(self) -> dict[int, int | Fraction]:
-        """As {integer exponent: coefficient}; ParityError on half exponents.
-
-        >>> LaurentPoly({6: 5}).to_q_dict()
-        {3: 5}
-        """
-        if not self.has_integer_exponents:
-            raise ParityError("polynomial has half-integer exponents")
-        return {t // 2: c for t, c in sorted(self._c.items())}
 
     def __str__(self) -> str:
         pairs = [(_format_q_power(t), c) for t, c in sorted(self._c.items(), reverse=True)]
@@ -280,7 +237,7 @@ class LaurentPoly(_SparsePoly):
             return NotImplemented
         data = dict(self._c)
         for t, c in rhs._c.items():
-            data[t] = data.get(t, _ZERO) + c
+            data[t] = data.get(t, 0) + c
         return LaurentPoly(data)
 
     __radd__ = __add__
@@ -293,7 +250,7 @@ class LaurentPoly(_SparsePoly):
         for ta, ca in self._c.items():
             for tb, cb in rhs._c.items():
                 t = ta + tb
-                data[t] = data.get(t, _ZERO) + ca * cb
+                data[t] = data.get(t, 0) + ca * cb
         return LaurentPoly(data)
 
     __rmul__ = __mul__
@@ -304,8 +261,8 @@ class LaurentPoly(_SparsePoly):
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor; InexactDivisionError on remainder.
 
-        >>> num = LaurentPoly.from_q_powers({2: 1, 0: -1})
-        >>> den = LaurentPoly.from_q_powers({1: 1, 0: 1})
+        >>> num = LaurentPoly({2: 1, 0: -1})
+        >>> den = LaurentPoly({1: 1, 0: 1})
         >>> print(num.divide_exact(den))
         q - 1
         """
@@ -316,8 +273,8 @@ class LaurentPoly(_SparsePoly):
         a_lo, a_hi = self.degree_bounds()
         b_lo, b_hi = divisor.degree_bounds()
         # Dense long division on coefficient lists shifted to start at 0.
-        a = [self._c.get(t, _ZERO) for t in range(a_lo, a_hi + 1)]
-        b = [divisor._c.get(t, _ZERO) for t in range(b_lo, b_hi + 1)]
+        a = [self._c.get(t, 0) for t in range(a_lo, a_hi + 1)]
+        b = [divisor._c.get(t, 0) for t in range(b_lo, b_hi + 1)]
         if len(a) < len(b):
             raise InexactDivisionError("divisor does not divide exactly")
         lead = b[-1]
@@ -337,53 +294,45 @@ class LaurentPoly(_SparsePoly):
 
     def reverse(self, weight: int) -> "LaurentPoly":
         """q**weight * p(1/q) for an integer weight."""
-        return LaurentPoly({2 * weight - t: c for t, c in self._c.items()})
+        return LaurentPoly({weight - t: c for t, c in self._c.items()})
 
     def is_palindromic(self, weight: int) -> bool:
         """True when p(q) == q**weight * p(1/q).
 
-        >>> LaurentPoly.from_q_powers({0: 1, 1: 5, 2: 1}).is_palindromic(2)
+        >>> LaurentPoly({0: 1, 1: 5, 2: 1}).is_palindromic(2)
         True
         """
         return self._c == self.reverse(weight)._c
 
     def eval_at(self, x: CoeffLike) -> Fraction:
-        """Evaluate at a rational point.
+        """Evaluate at a rational point; negative exponents require x != 0.
 
-        Half-integer exponents require x to be the square of a rational
-        (the nonnegative root is used); negative exponents require x != 0.
-
-        >>> LaurentPoly({1: 1}).eval_at(Fraction(9, 4))
-        Fraction(3, 2)
-        >>> LaurentPoly({-2: 3}).eval_at(5)
+        >>> LaurentPoly({-1: 3}).eval_at(5)
         Fraction(3, 5)
         """
         # A Fraction base keeps x ** -k exact; an int base would give a float.
         x = Fraction(_coerce(x))
         if x == 0 and any(t < 0 for t in self._c):
             raise EvalDomainError("negative exponent at x = 0")
-        if self.has_integer_exponents:
-            return sum((c * x ** (t // 2) for t, c in self._c.items()), Fraction(0))
-        r = _exact_sqrt(x)
-        return sum((c * r ** t for t, c in self._c.items()), Fraction(0))
+        return sum((c * x ** t for t, c in self._c.items()), Fraction(0))
 
     # -- wire format ---------------------------------------------------
 
     def to_json_obj(self) -> list[list]:
-        """Sorted [[twice-exponent, "coefficient"], ...] with exact strings."""
-        return [[t, str(c)] for t, c in sorted(self._c.items())]
+        """Sorted [[2 * exponent, "coefficient"], ...] with exact strings."""
+        return [[2 * t, str(c)] for t, c in sorted(self._c.items())]
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "LaurentPoly":
-        return cls({t: c for t, c in obj})
+        return cls({_from_twice(t): c for t, c in obj})
 
 
 class BiLaurentPoly(_SparsePoly):
     """Sparse Laurent polynomial in two variables u, v.
 
-    Keys are (twice-u-exponent, twice-v-exponent) pairs.
+    Keys are (u-exponent, v-exponent) pairs.
 
-    >>> p = BiLaurentPoly({(2, 0): 1, (0, 2): -1})   # u - v
+    >>> p = BiLaurentPoly({(1, 0): 1, (0, 1): -1})   # u - v
     >>> print(p * p)
     u^2 - 2*u*v + v^2
     >>> print((p * p).diagonal())
@@ -401,11 +350,6 @@ class BiLaurentPoly(_SparsePoly):
             raise ValueError(f"exponent key {key!r} must be a pair of ints")
         return key
 
-    @classmethod
-    def from_uv_powers(cls, coeffs: Mapping[tuple[int, int], CoeffLike]) -> "BiLaurentPoly":
-        """Build from ordinary integer exponent pairs."""
-        return cls({(2 * a, 2 * b): c for (a, b), c in coeffs.items()})
-
     def __str__(self) -> str:
         def power(key: tuple[int, int]) -> str:
             parts = [s for s in (_format_q_power(key[0]).replace("q", "u"),
@@ -422,7 +366,7 @@ class BiLaurentPoly(_SparsePoly):
             return NotImplemented
         data = dict(self._c)
         for k, c in rhs._c.items():
-            data[k] = data.get(k, _ZERO) + c
+            data[k] = data.get(k, 0) + c
         return BiLaurentPoly(data)
 
     __radd__ = __add__
@@ -435,7 +379,7 @@ class BiLaurentPoly(_SparsePoly):
         for (au, av), ca in self._c.items():
             for (bu, bv), cb in rhs._c.items():
                 k = (au + bu, av + bv)
-                data[k] = data.get(k, _ZERO) + ca * cb
+                data[k] = data.get(k, 0) + ca * cb
         return BiLaurentPoly(data)
 
     __rmul__ = __mul__
@@ -450,18 +394,18 @@ class BiLaurentPoly(_SparsePoly):
     def diagonal(self) -> LaurentPoly:
         """Substitute u = v = q.
 
-        >>> print(BiLaurentPoly.from_uv_powers({(2, 1): 3}).diagonal())
+        >>> print(BiLaurentPoly({(2, 1): 3}).diagonal())
         3*q^3
         """
         data: dict[int, int | Fraction] = {}
         for (a, b), c in self._c.items():
             t = a + b
-            data[t] = data.get(t, _ZERO) + c
+            data[t] = data.get(t, 0) + c
         return LaurentPoly(data)
 
     def to_json_obj(self) -> list[list]:
-        return [[a, b, str(c)] for (a, b), c in sorted(self._c.items())]
+        return [[2 * a, 2 * b, str(c)] for (a, b), c in sorted(self._c.items())]
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "BiLaurentPoly":
-        return cls({(a, b): c for a, b, c in obj})
+        return cls({(_from_twice(a), _from_twice(b)): c for a, b, c in obj})

@@ -59,7 +59,7 @@ def test_criterion_4_character_sum_route():
             ok = False
             break
         shift = (n * n + n - 2) * (g - 1)
-        lifted = evar_from_types(params) * LaurentPoly.from_q_powers({shift: 1})
+        lifted = evar_from_types(params) * LaurentPoly({shift: 1})
         if lifted != closed_e(params):
             ok = False
             break

@@ -113,6 +113,17 @@ def test_validation_messages(cls, cells, message):
     (BiLaurentPoly, "[[0.5,0,1]]", ValueError),
     (BiLaurentPoly, "[[0,true,1]]", ValueError),
     (BiLaurentPoly, '[[0,"2",1]]', ValueError),
+    # The wire holds twice each exponent: a key must be an even int, and a
+    # float, bool or str is refused even where its value would be even.
+    (LaurentPoly, '[[1,"1"]]', ValueError),
+    (LaurentPoly, '[[-3,"1"]]', ValueError),
+    (LaurentPoly, '[[2.0,"1"]]', ValueError),
+    (LaurentPoly, '[[false,"1"]]', ValueError),
+    (BiLaurentPoly, '[[2,1,"1"]]', ValueError),
+    (BiLaurentPoly, '[[1,2,"1"]]', ValueError),
+    (BiLaurentPoly, '[[true,0,"1"]]', ValueError),
+    (BiLaurentPoly, '[[2.0,0,"1"]]', ValueError),
+    (BiLaurentPoly, '[["0",0,"1"]]', ValueError),
 ])
 def test_json_readers_reject_what_the_constructors_reject(cls, text, error):
     with pytest.raises(error):
