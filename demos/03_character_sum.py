@@ -24,7 +24,7 @@ for kind in SpecialType:
     hook = special_hook(kind, n)
     print(f"  {kind.value:8s} hook = {hook}")
     print(f"           counted with multiplicity {count_multiplier(kind, n, g)}")
-    contrib = type_contribution(hook, n, g)
+    contrib = type_contribution(hook, g)
     print(f"           contribution = {contrib}")
 print()
 

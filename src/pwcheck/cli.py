@@ -14,9 +14,9 @@ was found, 2 usage or domain error or an unwritable --out.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from ._frozen import compact_json
 from .epoly import (
     ModuliParams, closed_e, euler_variant, mirror_difference, require_prime, variant_betti)
 from .filtration import DEFAULT_BUDGET, Criterion, count_search_tables, falsification_search
@@ -256,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, output = args.func(args)
         if args.format == "json":
-            output = json.dumps(output, separators=(",", ":"))
+            output = compact_json(output)
         text = output if output.endswith("\n") else output + "\n"
         if not args.out:
             sys.stdout.write(text)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .filtration import _Graded, _Record
 from .laurent import BiLaurentPoly, LaurentPoly, _exact_quotient
@@ -36,12 +36,8 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and smallest_prime_factor(n) == n
-
-
 def require_prime(n: int) -> None:
-    if not is_prime(n):
+    if n < 2 or smallest_prime_factor(n) != n:
         raise NotPrimeError(f"rank {n} is not prime")
 
 
@@ -161,23 +157,23 @@ class CohomologyProfile(_Graded):
         raise ValueError(f"degree {degree!r} must be an int or its decimal str")
 
     def __getitem__(self, degree: int) -> int:
-        return self._cells.get(degree, 0)
+        return self._c.get(degree, 0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, dict):
-            return self._cells == {d: v for d, v in other.items() if v}
+            return self._c == {d: v for d, v in other.items() if v}
         return _Graded.__eq__(self, other)
 
     __hash__ = _Graded.__hash__
 
     def support(self) -> tuple[int, int]:
         """(lowest, highest) degree with a nonzero group; raises if empty."""
-        if not self._cells:
+        if not self._c:
             raise ValueError("empty profile has no support")
-        return min(self._cells), max(self._cells)
+        return min(self._c), max(self._c)
 
     def euler(self) -> int:
-        return sum(v if d % 2 == 0 else -v for d, v in self._cells.items())
+        return sum(v if d % 2 == 0 else -v for d, v in self._c.items())
 
     def to_csv(self) -> str:
         lines = ["degree,dimension"]

@@ -14,10 +14,9 @@ from __future__ import annotations
 import collections
 import enum
 import itertools
-import json
-from typing import Any, Iterable, Iterator, Mapping, TypeVar
+from collections.abc import Iterable, Iterator, Mapping
 
-_G = TypeVar("_G", bound="_Graded")
+from ._frozen import Frozen, SparseMap
 
 # The most (table, m, k) cases a search visits unless given a budget.
 DEFAULT_BUDGET = 10 ** 7
@@ -32,7 +31,7 @@ class Criterion(enum.Enum):
     SECOND = "second"
 
 
-class _Graded:
+class _Graded(SparseMap):
     """Immutable map from keys to positive ints; absent keys read 0.
 
     The code FiltrationTable and CohomologyProfile share.  A subclass
@@ -40,7 +39,7 @@ class _Graded:
     the error for a value that is not a nonnegative int (``{}`` is the key).
     """
 
-    __slots__ = ("_cells",)
+    __slots__ = ()
 
     def __init__(self, cells: Mapping | None = None):
         data: dict = {}
@@ -54,51 +53,27 @@ class _Graded:
                 if normal in data:  # two keys, such as 2 and "2", for one entry
                     raise ValueError(f"key {key!r} repeats the key {normal!r}")
                 data[normal] = value
-        object.__setattr__(self, "_cells", data)
+        object.__setattr__(self, "_c", data)
 
-    def __setattr__(self, *args: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self) -> tuple:
-        # Rebuilt through the constructor: copy and pickle cannot set a slot.
-        return type(self), (self._cells,)
-
-    def items(self) -> Iterator[tuple[Any, int]]:
-        for key in sorted(self._cells):
-            yield key, self._cells[key]
+    def items(self) -> Iterator[tuple[object, int]]:
+        for key in sorted(self._c):
+            yield key, self._c[key]
 
     def __len__(self) -> int:
-        return len(self._cells)
-
-    def __bool__(self) -> bool:
-        return bool(self._cells)
+        return len(self._c)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, type(self)):
-            return self._cells == other._cells
+            return self._c == other._c
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._cells.items())))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v}" for k, v in self.items())
-        return f"{type(self).__name__}({{{inner}}})"
+    __hash__ = SparseMap.__hash__  # defining __eq__ unset the inherited one
 
     def total(self) -> int:
-        return sum(self._cells.values())
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls: type[_G], text: str) -> _G:
-        return cls.from_json_obj(json.loads(text))
+        return sum(self._c.values())
 
 
-class _Record:
+class _Record(Frozen):
     """Immutable record of named fields, equal to a record of its own class
     with equal fields, printed as ``Name(field=value, ...)``.
 
@@ -110,7 +85,7 @@ class _Record:
 
     __slots__ = ()
 
-    def __init__(self, *args: Any, **kwargs: Any):
+    def __init__(self, *args: object, **kwargs: object):
         names = self.__slots__
         given = dict(zip(names, args))
         for name, value in kwargs.items():
@@ -123,28 +98,20 @@ class _Record:
         for name in names:
             object.__setattr__(self, name, given[name])
 
-    def __setattr__(self, *args: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
+    def _args(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is type(self):
-            return self._values() == other._values()
+            return self._args() == other._args()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._args())
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({inner})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
 
 
 class FiltrationTable(_Graded):
@@ -169,7 +136,7 @@ class FiltrationTable(_Graded):
         return i, j
 
     def get(self, i: int, j: int) -> int:
-        return self._cells.get((i, j), 0)
+        return self._c.get((i, j), 0)
 
     def to_csv(self) -> str:
         lines = ["i,j,value"]
@@ -212,7 +179,7 @@ def is_k_sequence(table: FiltrationTable, m: int, k: int) -> bool:
 def _line_sums(table: FiltrationTable) -> tuple[collections.Counter, collections.Counter]:
     """Row sums and antidiagonal sums, keyed by row i and by i + j."""
     rows, diagonals = collections.Counter(), collections.Counter()
-    for (i, j), v in table._cells.items():
+    for (i, j), v in table._c.items():
         rows[i] += v
         diagonals[i + j] += v
     return rows, diagonals
@@ -220,13 +187,13 @@ def _line_sums(table: FiltrationTable) -> tuple[collections.Counter, collections
 
 def _first_cond_i(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Nothing strictly left of column k.
-    return ((i, j) for i, j in table._cells if j < k)
+    return ((i, j) for i, j in table._c if j < k)
 
 
 def _first_cond_ii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Every column symmetric about row m: v[m-i, j] == v[m+i, j].
-    get = table._cells.get
-    return ((abs(i - m), j) for (i, j), v in table._cells.items()
+    get = table._c.get
+    return ((abs(i - m), j) for (i, j), v in table._c.items()
             if get((2 * m - i, j), 0) != v)
 
 
@@ -240,8 +207,8 @@ def _first_cond_iii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[in
 def _second_cond_i(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Within column j, rows mirror about m + k - j.  A failing pair of
     # rows is witnessed at its smaller row that is >= 0.
-    get = table._cells.get
-    return ((min(i, r) if r >= 0 else i, j) for (i, j), v in table._cells.items()
+    get = table._c.get
+    return ((min(i, r) if r >= 0 else i, j) for (i, j), v in table._c.items()
             for r in (2 * (m + k - j) - i,) if get((r, j), 0) != v)
 
 
@@ -292,9 +259,6 @@ class CriterionReport(_Record):
             label, where = self.first_violation
             obj["first_violation"] = [label, list(where)]
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
 def _check(criterion: Criterion, table: FiltrationTable, m: int, k: int) -> CriterionReport:

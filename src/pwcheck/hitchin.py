@@ -11,8 +11,6 @@ the level of graded dimensions.
 
 from __future__ import annotations
 
-import json
-
 from .epoly import (
     InconsistentFormulaError,
     ModuliParams,
@@ -126,9 +124,6 @@ class PWReport(_Record):
             "holds": self.holds,
             "verdict": self.verdict,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
 def verify_pw(params: ModuliParams) -> PWReport:

@@ -55,8 +55,8 @@ def count_multiplier(kind: SpecialType, n: int, g: int) -> Fraction:
     return Fraction(unit_sign, n) + power_sign * n ** (2 * g - 1)
 
 
-def type_contribution(hook: LaurentPoly, n: int, g: int) -> LaurentPoly:
-    """(hook / (q - 1))^{2g-2}, for the hook of rank n.
+def type_contribution(hook: LaurentPoly, g: int) -> LaurentPoly:
+    """(hook / (q - 1))^{2g-2}, for a special hook and genus g.
 
     The division is exact for both hooks.
     """
@@ -73,7 +73,7 @@ def evar_type_route(params: ModuliParams) -> LaurentPoly:
     total = LaurentPoly.zero()
     for kind in SpecialType:
         hook = special_hook(kind, n)
-        total = total + count_multiplier(kind, n, g) * type_contribution(hook, n, g)
+        total = total + count_multiplier(kind, n, g) * type_contribution(hook, g)
     return total
 
 

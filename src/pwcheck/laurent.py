@@ -16,13 +16,10 @@ q - 2 + q^-1
 
 from __future__ import annotations
 
-import json
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from typing import Any, Iterator, Mapping, TypeVar, Union
 
-CoeffLike = Union[int, str, Fraction]
-
-_P = TypeVar("_P", bound="_SparsePoly")
+from ._frozen import SparseMap
 
 
 class EvalDomainError(ValueError):
@@ -33,7 +30,7 @@ class InexactDivisionError(ArithmeticError):
     """Laurent division left a nonzero remainder."""
 
 
-def _coerce(value: CoeffLike) -> int | Fraction:
+def _coerce(value: int | str | Fraction) -> int | Fraction:
     """value as an exact int when integral, else as a Fraction."""
     if type(value) is int:
         return value
@@ -80,7 +77,7 @@ def _format_terms(pairs: list[tuple[str, int | Fraction]]) -> str:
     return " ".join(out) if out else "0"
 
 
-class _SparsePoly:
+class _SparsePoly(SparseMap):
     """Immutable map from exponent keys to nonzero exact coefficients.
 
     The code of LaurentPoly and BiLaurentPoly that does not depend on the
@@ -89,10 +86,10 @@ class _SparsePoly:
     term, and ``_PLAIN_KEY``, the type of a key that needs no check.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[Any, CoeffLike] | None = None):
-        data: dict[Any, int | Fraction] = {}
+    def __init__(self, coeffs: Mapping[object, int | str | Fraction] | None = None):
+        data: dict[object, int | Fraction] = {}
         if coeffs:
             key, plain = self._key, self._PLAIN_KEY
             for k, c in coeffs.items():
@@ -106,32 +103,20 @@ class _SparsePoly:
                     data[k] = c
         object.__setattr__(self, "_c", data)
 
-    def __setattr__(self, *args: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self) -> tuple:
-        # Rebuilt through the constructor: copy and pickle cannot set a slot.
-        return type(self), (self._c,)
-
     @classmethod
-    def zero(cls: type[_P]) -> _P:
+    def zero(cls) -> _SparsePoly:
         return cls()
 
     @classmethod
-    def one(cls: type[_P]) -> _P:
+    def one(cls) -> _SparsePoly:
         return cls({cls._UNIT: 1})
 
-    def terms(self) -> Iterator[tuple[Any, int | Fraction]]:
+    def terms(self) -> Iterator[tuple[object, int | Fraction]]:
         """(key, coefficient) pairs in increasing key order."""
         for key in sorted(self._c):
             yield key, self._c[key]
 
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def _as_poly(self: _P, other: object) -> _P | None:
+    def _as_poly(self, other: object) -> _SparsePoly | None:
         """other as this class, an int or Fraction as a constant, else None."""
         if isinstance(other, type(self)):
             return other
@@ -149,28 +134,24 @@ class _SparsePoly:
         # A constant hashes like the scalar it equals.
         if self._c.keys() <= {self._UNIT}:
             return hash(self._c.get(self._UNIT, 0))
-        return hash(tuple(sorted(self._c.items())))
+        return SparseMap.__hash__(self)
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {c!r}" for k, c in sorted(self._c.items()))
-        return f"{type(self).__name__}({{{inner}}})"
-
-    def __neg__(self: _P) -> _P:
+    def __neg__(self) -> _SparsePoly:
         return type(self)({k: -c for k, c in self._c.items()})
 
-    def __sub__(self: _P, other: object) -> _P:
+    def __sub__(self, other: object) -> _SparsePoly:
         rhs = self._as_poly(other)
         if rhs is None:
             return NotImplemented
         return self + (-rhs)
 
-    def __rsub__(self: _P, other: object) -> _P:
+    def __rsub__(self, other: object) -> _SparsePoly:
         rhs = self._as_poly(other)
         if rhs is None:
             return NotImplemented
         return rhs + (-self)
 
-    def _power(self: _P, n: int) -> _P:
+    def _power(self, n: int) -> _SparsePoly:
         """Nonnegative integer power by binary exponentiation.
 
         >>> print(LaurentPoly({1: 1, 0: -1}) ** 3)
@@ -186,13 +167,6 @@ class _SparsePoly:
             base = base * base
             n >>= 1
         return result
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls: type[_P], text: str) -> _P:
-        return cls.from_json_obj(json.loads(text))
 
 
 class LaurentPoly(_SparsePoly):
@@ -304,7 +278,7 @@ class LaurentPoly(_SparsePoly):
         """
         return self._c == self.reverse(weight)._c
 
-    def eval_at(self, x: CoeffLike) -> Fraction:
+    def eval_at(self, x: int | str | Fraction) -> Fraction:
         """Evaluate at a rational point; negative exponents require x != 0.
 
         >>> LaurentPoly({-1: 3}).eval_at(5)

@@ -40,8 +40,8 @@ def test_hooks_require_prime_rank():
 
 
 def test_type_contribution_rank_two():
-    split = type_contribution(special_hook(SpecialType.SPLIT, 2), 2, 2)
-    nonsplit = type_contribution(special_hook(SpecialType.NONSPLIT, 2), 2, 2)
+    split = type_contribution(special_hook(SpecialType.SPLIT, 2), 2)
+    nonsplit = type_contribution(special_hook(SpecialType.NONSPLIT, 2), 2)
     assert dict(split.terms()) == {2: Fraction(1), 3: Fraction(-2), 4: Fraction(1)}
     assert dict(nonsplit.terms()) == {2: Fraction(1), 3: Fraction(2), 4: Fraction(1)}
 

@@ -2,7 +2,9 @@
 
 Every CLI call is a fresh interpreter, so each module the package imports
 is paid for on every call.  `dataclasses` alone pulled in `inspect`,
-`ast`, `dis`, `tokenize` and `linecache`, about 10 ms of start-up.
+`ast`, `dis`, `tokenize` and `linecache`, about 10 ms of start-up, and
+`typing` is the next largest.  The child runs under `python -S`, because
+a `site` `.pth` file may import `typing` before pwcheck does.
 """
 
 import os
@@ -16,14 +18,24 @@ PROGRAM = """
 import sys
 from pwcheck.cli import main
 code = main(["verify", "--n", "5", "--g", "2"])
-print(sorted(name for name in ("dataclasses", "inspect") if name in sys.modules))
+print(sorted(name for name in sys.argv[1:] if name in sys.modules))
 sys.exit(code)
 """
 
 
-def test_a_verify_call_loads_neither_dataclasses_nor_inspect():
+def _loaded(*names):
+    """Those of names that a verify call loads."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    result = subprocess.run([sys.executable, "-c", PROGRAM], capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-S", "-c", PROGRAM, *names],
+                            capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, check=False)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    return result.stdout.splitlines()[-1]
+
+
+def test_a_verify_call_loads_neither_dataclasses_nor_inspect():
+    assert _loaded("dataclasses", "inspect") == "[]"
+
+
+def test_a_verify_call_loads_no_typing():
+    assert _loaded("typing") == "[]"

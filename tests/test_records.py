@@ -67,6 +67,12 @@ def test_degree_defaults_to_one():
     assert ModuliParams(3, 2).d == 1
 
 
+def test_params_have_no_wire_form():
+    # to_json comes from the shared base; ModuliParams has no to_json_obj.
+    with pytest.raises(AttributeError):
+        ModuliParams(2, 2).to_json()
+
+
 @pytest.mark.parametrize("cls, values, text", CASES)
 def test_value_equality_and_hash(cls, values, text):
     record, same, other = cls(**values), cls(**values), cls(**_changed(values))
