@@ -1,16 +1,16 @@
 """The immutable-value core every pwcheck value class builds on.
 
 Stdlib only, and nothing from the package: both ``laurent`` and
-``filtration`` build on it.
+``filtration`` build on it.  ``json`` is imported where it is used, so
+that a text or CSV call never loads it.
 """
 
 from __future__ import annotations
 
-import json
-
 
 def compact_json(obj: object) -> str:
     """obj as JSON text with no space after a separator."""
+    import json
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -61,4 +61,5 @@ class SparseMap(Frozen):
 
     @classmethod
     def from_json(cls, text: str) -> SparseMap:
+        import json
         return cls.from_json_obj(json.loads(text))

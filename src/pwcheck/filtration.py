@@ -55,6 +55,13 @@ class _Graded(SparseMap):
                 data[normal] = value
         object.__setattr__(self, "_c", data)
 
+    @classmethod
+    def _of(cls, data: dict) -> _Graded:
+        """The map over data, which the caller has checked: normal keys, positive ints."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_c", data)
+        return self
+
     def items(self) -> Iterator[tuple[object, int]]:
         for key in sorted(self._c):
             yield key, self._c[key]
@@ -270,12 +277,33 @@ def _check(criterion: Criterion, table: FiltrationTable, m: int, k: int) -> Crit
 
 
 def check_first_criterion(table: FiltrationTable, m: int, k: int) -> CriterionReport:
-    """Column support bound, columnwise symmetry, antidiagonal symmetry."""
+    """Column support bound, columnwise symmetry, antidiagonal symmetry.
+
+    The three conditions force a k-sequence on every table, whatever its
+    size.  Write w for the table and T for its mass.  A cell mirrored to
+    a negative row reads 0, so (ii) makes the support of each column
+    symmetric about row m, which gives sum w*i = m*T.  (iii) does the
+    same for the antidiagonal index: sum w*(i + j) = (m + k)*T.  The
+    difference is sum w*(j - k) = 0, and by (i) no term is negative, so
+    every cell sits in column k, which (ii) makes symmetric about m.
+    """
     return _check(Criterion.FIRST, table, m, k)
 
 
 def check_second_criterion(table: FiltrationTable, m: int, k: int) -> CriterionReport:
-    """Skew mirror within columns, antidiagonal/row matching, row symmetry."""
+    """Skew mirror within columns, antidiagonal/row matching, row symmetry.
+
+    (i) and (ii) force a k-sequence on every table, whatever its size,
+    so (iii) is implied.  Write w for the table and T_j for the mass of
+    column j.  Summing (ii) over l >= 0 with weights 1, l and l^2 gives
+    three facts: no mass lies on an antidiagonal below k,
+    sum w*(j - k) = 0, and sum w*(j - k)*(2i + j - k) = 0.  By (i),
+    column j is symmetric about row m + k - j, so its sum of w*i is
+    (m + k - j)*T_j, and the third fact reads
+    sum_j T_j*(j - k)*(2m + k - j) = 0.  By the second fact that is
+    -sum_j T_j*(j - k)^2 = 0.  So every cell sits in column k, and (i)
+    makes that column symmetric about m.
+    """
     return _check(Criterion.SECOND, table, m, k)
 
 
@@ -283,11 +311,15 @@ def count_search_tables(i_max: int, j_max: int, v_max: int, m_range: Iterable[in
                         k_range: Iterable[int], budget: int = DEFAULT_BUDGET) -> int:
     """Number of tables `falsification_search` enumerates on this grid.
 
-    Validates the arguments as the search does and raises
+    Validates the arguments as the search does (each bound an int >= 0,
+    each m >= 1 and each k >= 0 an int, both ranges nonempty) and raises
     BudgetExceededError if tables x |m_range| x |k_range| exceeds the
     budget.  The count stops growing once it is over, so no cell list
     and no number much larger than the budget is built.
     """
+    for bound in (i_max, j_max, v_max):
+        if isinstance(bound, bool) or not isinstance(bound, int):
+            raise ValueError(f"grid bound {bound!r} must be an int")
     if i_max < 0 or j_max < 0 or v_max < 0:
         raise ValueError("grid bounds must be nonnegative")
     ms, ks = set(m_range), set(k_range)
@@ -315,14 +347,21 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
     [0..v_max] and return those satisfying all conditions of the chosen
     criterion without being a k-sequence.
 
-    An empty result over a grid is finite evidence for the criterion.
-    The total number of (table, m, k) triples is checked against the
-    budget before any work happens.  A finder yields its witnesses; the
-    report takes the least, the search stops at the first.  Each
-    condition reads one of k, m or m + k (first: k, m, m + k; second:
-    m + k, k, m), so on each table its finder runs at most once per
-    value of that parameter and the other (m, k) pairs reuse the
-    verdict.  Results come in table order, then m, then k.
+    An empty result over a grid is finite evidence for the criterion
+    (both criteria are proved in their checkers' docstrings).  The
+    bounds, and the total number of (table, m, k) triples against the
+    budget, are checked before any work happens.  Every enumerated
+    table is then built from those checked bounds, cells in
+    range(i_max + 1) x range(j_max + 1) and values in range(v_max + 1),
+    without per-cell validation; each hit is rebuilt through the
+    FiltrationTable constructor, so all that is returned is checked.
+
+    A finder yields its witnesses; the report takes the least, the
+    search stops at the first.  Each condition reads one of k, m or
+    m + k (first: k, m, m + k; second: m + k, k, m), so on each table
+    its finder runs at most once per value of that parameter and the
+    other (m, k) pairs reuse the verdict.  Results come in table order,
+    then m, then k.
     """
     ms = sorted(set(m_range))
     ks = sorted(set(k_range))
@@ -334,8 +373,8 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
              for m in ms for k in ks]
     found: list[tuple[FiltrationTable, int, int]] = []
     for values in itertools.product(range(v_max + 1), repeat=len(cells)):
-        table = FiltrationTable({
-            cell: v for cell, v in zip(cells, values) if v})
+        data = {cell: v for cell, v in zip(cells, values) if v}
+        table = FiltrationTable._of(data)
         holds: dict[tuple[str, int], bool] = {}
         for m, k, keyed in cases:
             for key, finder in keyed:
@@ -346,5 +385,5 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
                     break
             else:
                 if not is_k_sequence(table, m, k):
-                    found.append((table, m, k))
+                    found.append((FiltrationTable(data), m, k))
     return found

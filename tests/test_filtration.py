@@ -359,6 +359,42 @@ def test_search_argument_validation():
         falsification_search(Criterion.FIRST, 1, 1, 1, [0], [0])
 
 
+@pytest.mark.parametrize("bounds", [(1.5, 1, 1), (1, 1.0, 1), (1, 1, 1.0), (True, 1, 1),
+                                    (1, 1, False), ("1", 1, 1)])
+def test_search_bounds_must_be_ints(bounds):
+    with pytest.raises(ValueError, match="must be an int"):
+        count_search_tables(*bounds, [1], [0])
+    with pytest.raises(ValueError, match="must be an int"):
+        falsification_search(Criterion.FIRST, *bounds, [1], [0])
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_search_checks_only_the_tables_it_returns(monkeypatch, criterion):
+    # the enumerated cells come from checked bounds; only a hit goes
+    # through the constructor, once per (table, m, k) it is returned as
+    calls = [0]
+    key = FiltrationTable._key
+
+    def counted(cell):
+        calls[0] += 1
+        return key(cell)
+
+    monkeypatch.setattr(FiltrationTable, "_key", staticmethod(counted))
+    box = (3, 2, 1, range(1, 4), range(0, 3))    # the ksearch default box
+    assert falsification_search(criterion, *box) == []
+    assert calls[0] == 0
+    conditions = dict(filtration._CONDITIONS)
+    conditions[criterion] = conditions[criterion][:1]
+    monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
+    hits = falsification_search(criterion, *box)
+    assert hits
+    assert calls[0] == sum(len(table) for table, _, _ in hits)
+    for table, _, _ in hits:
+        assert type(table) is FiltrationTable
+        rebuilt = FiltrationTable.from_json_obj(table.to_json_obj())
+        assert table == rebuilt and hash(table) == hash(rebuilt)
+
+
 def test_search_reports_planted_counterexample(monkeypatch):
     # cripple one condition and verify the search machinery notices the
     # tables that now slip through

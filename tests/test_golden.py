@@ -59,6 +59,8 @@ GOLDEN = [
     # The 4x4 search boxes, 65,536 tables each.
     ('ksearch --i-max 3 --j-max 3 --criterion first --format json', 0, "5a63a15a3ae710a2b9097252dcaf5b791fbd28c2cabe16d2dddd8a45d9dea257"),
     ('ksearch --i-max 3 --j-max 3 --criterion second --format text', 0, "efa1bdec00d5f337d7a125dd8c27094f6805ebaca42e53ab18640fa36fe37b81"),
+    ('ksearch --i-max 3 --j-max 3 --criterion first --format text', 0, "4416590e751413e154ea772823dda6a18f5aba51ff0fc2132d0a859a8002866f"),
+    ('ksearch --i-max 3 --j-max 3 --criterion second --format csv', 0, "41465ee7f9a79406d2a919db479b2924c3aba63c9a7d59d035b6a2860db8dc2f"),
     # The one CLI search with entries up to 2 (19,683 tables).
     ('ksearch --criterion second --i-max 2 --j-max 2 --v-max 2 --format json', 0, "b635f6d774396f5e8924a004ca322ebd3d2471aa3c174fefe4259ff0f2bb7cc6"),
 ]

@@ -3,8 +3,9 @@
 Every CLI call is a fresh interpreter, so each module the package imports
 is paid for on every call.  `dataclasses` alone pulled in `inspect`,
 `ast`, `dis`, `tokenize` and `linecache`, about 10 ms of start-up, and
-`typing` is the next largest.  The child runs under `python -S`, because
-a `site` `.pth` file may import `typing` before pwcheck does.
+`typing` is the next largest; `json` is needed only to write or read
+JSON.  The child runs under `python -S`, because a `site` `.pth` file
+may import `typing` before pwcheck does.
 """
 
 import os
@@ -39,3 +40,7 @@ def test_a_verify_call_loads_neither_dataclasses_nor_inspect():
 
 def test_a_verify_call_loads_no_typing():
     assert _loaded("typing") == "[]"
+
+
+def test_a_verify_call_loads_no_json():
+    assert _loaded("json") == "[]"
