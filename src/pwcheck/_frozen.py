@@ -2,10 +2,17 @@
 
 Stdlib only, and nothing from the package: both ``laurent`` and
 ``filtration`` build on it.  ``json`` is imported where it is used, so
-that a text or CSV call never loads it.
+that a text or CSV call never loads it.  It also holds the one integer
+rule: an integer input is an exact ``int``, never a bool or a subclass.
 """
 
 from __future__ import annotations
+
+
+def require_int(value: object, low: int, message: str) -> None:
+    """Raise ValueError(message) unless value is an exact int >= low."""
+    if type(value) is not int or value < low:
+        raise ValueError(message)
 
 
 def compact_json(obj: object) -> str:

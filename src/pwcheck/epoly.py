@@ -13,6 +13,7 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 
+from ._frozen import require_int
 from .filtration import _Graded, _Record
 from .laurent import BiLaurentPoly, LaurentPoly, _exact_quotient
 
@@ -26,8 +27,7 @@ class InconsistentFormulaError(ArithmeticError):
 
 
 def smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise ValueError("need n >= 2")
+    require_int(n, 2, "rank n must be an integer >= 2")
     f = 2
     while f * f <= n:
         if n % f == 0:
@@ -37,7 +37,7 @@ def smallest_prime_factor(n: int) -> int:
 
 
 def require_prime(n: int) -> None:
-    if n < 2 or smallest_prime_factor(n) != n:
+    if type(n) is not int or n < 2 or smallest_prime_factor(n) != n:
         raise NotPrimeError(f"rank {n} is not prime")
 
 
@@ -51,11 +51,9 @@ class ModuliParams(_Record):
     __slots__ = ("n", "g", "d")
 
     def __init__(self, n: int, g: int, d: int = 1):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError("rank n must be an integer >= 2")
-        if not isinstance(g, int) or g < 2:
-            raise ValueError("genus g must be an integer >= 2")
-        if not isinstance(d, int) or isinstance(d, bool) or math.gcd(n, d) != 1:
+        require_int(n, 2, "rank n must be an integer >= 2")
+        require_int(g, 2, "genus g must be an integer >= 2")
+        if type(d) is not int or math.gcd(n, d) != 1:
             raise ValueError("degree d must be an integer coprime to n")
         super().__init__(n, g, d)
 
@@ -150,8 +148,7 @@ class CohomologyProfile(_Graded):
 
     @staticmethod
     def _key(degree: int | str) -> int:
-        # An int that is no bool, or the str to_json_obj writes for one.
-        if (isinstance(degree, int) and not isinstance(degree, bool)
+        if (type(degree) is int  # or the str to_json_obj writes for one
                 or isinstance(degree, str) and re.fullmatch(r"0|-?[1-9][0-9]*", degree)):
             return int(degree)
         raise ValueError(f"degree {degree!r} must be an int or its decimal str")

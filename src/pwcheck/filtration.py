@@ -16,7 +16,7 @@ import enum
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
 
-from ._frozen import Frozen, SparseMap
+from ._frozen import Frozen, SparseMap, require_int
 
 # The most (table, m, k) cases a search visits unless given a budget.
 DEFAULT_BUDGET = 10 ** 7
@@ -46,8 +46,7 @@ class _Graded(SparseMap):
         key_of = self._key
         for key, value in (cells or {}).items():
             normal = key_of(key)
-            vtype = type(value)  # an exact int, the usual case, skips isinstance
-            if vtype is not int and (vtype is bool or not isinstance(value, int)) or value < 0:
+            if type(value) is not int or value < 0:
                 raise ValueError(self._BAD_VALUE.format(key))
             if value:
                 if normal in data:  # two keys, such as 2 and "2", for one entry
@@ -137,8 +136,7 @@ class FiltrationTable(_Graded):
     @staticmethod
     def _key(key: tuple[int, int]) -> tuple[int, int]:
         i, j = key
-        if (type(i) is not int and (type(i) is bool or not isinstance(i, int)) or i < 0
-                or type(j) is not int and (type(j) is bool or not isinstance(j, int)) or j < 0):
+        if type(i) is not int or i < 0 or type(j) is not int or j < 0:
             raise ValueError(f"cell index {key} must be a pair of nonnegative ints")
         return i, j
 
@@ -159,10 +157,8 @@ class FiltrationTable(_Graded):
 
 
 def _require_mk(m: int, k: int) -> None:
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError("m must be an integer >= 1")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValueError("k must be an integer >= 0")
+    require_int(m, 1, "m must be an integer >= 1")
+    require_int(k, 0, "k must be an integer >= 0")
 
 
 def is_k_sequence(table: FiltrationTable, m: int, k: int) -> bool:
@@ -318,7 +314,7 @@ def count_search_tables(i_max: int, j_max: int, v_max: int, m_range: Iterable[in
     and no number much larger than the budget is built.
     """
     for bound in (i_max, j_max, v_max):
-        if isinstance(bound, bool) or not isinstance(bound, int):
+        if type(bound) is not int:
             raise ValueError(f"grid bound {bound!r} must be an int")
     if i_max < 0 or j_max < 0 or v_max < 0:
         raise ValueError("grid bounds must be nonnegative")

@@ -11,6 +11,7 @@ the level of graded dimensions.
 
 from __future__ import annotations
 
+from ._frozen import require_int
 from .epoly import (
     InconsistentFormulaError,
     ModuliParams,
@@ -31,8 +32,7 @@ def endoscopic_bound(n: int, g: int) -> int:
     is the smallest prime factor of n.  Defined for any rank n >= 2;
     for prime n it reduces to n(n-1)(g-1).
     """
-    if not isinstance(g, int) or g < 2:
-        raise ValueError("genus g must be an integer >= 2")
+    require_int(g, 2, "genus g must be an integer >= 2")
     p = smallest_prime_factor(n)
     return n * (n - n // p) * (g - 1)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
+from ._frozen import require_int
 from .epoly import ModuliParams, closed_e, require_prime
 from .laurent import LaurentPoly
 
@@ -51,6 +52,8 @@ def special_hook(kind: SpecialType, n: int) -> LaurentPoly:
 def count_multiplier(kind: SpecialType, n: int, g: int) -> Fraction:
     """Number of characters in the family, up to the shared scale:
     unit_sign/n + power_sign * n^{2g-1}, with the signs from _COUNT_SIGNS."""
+    require_prime(n)
+    require_int(g, 2, "genus g must be an integer >= 2")
     unit_sign, power_sign = _COUNT_SIGNS[kind]
     return Fraction(unit_sign, n) + power_sign * n ** (2 * g - 1)
 
@@ -60,6 +63,7 @@ def type_contribution(hook: LaurentPoly, g: int) -> LaurentPoly:
 
     The division is exact for both hooks.
     """
+    require_int(g, 2, "genus g must be an integer >= 2")
     return hook.divide_exact(LaurentPoly({1: 1, 0: -1})) ** (2 * g - 2)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
-from ._frozen import SparseMap
+from ._frozen import SparseMap, require_int
 
 
 class EvalDomainError(ValueError):
@@ -157,8 +157,7 @@ class _SparsePoly(SparseMap):
         >>> print(LaurentPoly({1: 1, 0: -1}) ** 3)
         q^3 - 3*q^2 + 3*q - 1
         """
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        require_int(n, 0, "exponent must be a nonnegative integer")
         result = self.one()
         base = self
         while n:

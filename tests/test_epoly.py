@@ -1,3 +1,4 @@
+import enum
 from fractions import Fraction
 
 import pytest
@@ -157,8 +158,10 @@ def test_composite_rank_rejected_by_formulas():
 
 
 def test_params_reject_bool():
-    # True is an int coprime to every n, but not a degree.
-    for args in ((True, 2), (3, True), (3, 2, True)):
+    # True is an int coprime to every n, but not a degree; an IntEnum
+    # member is an int too, but not an exact one.
+    three = enum.IntEnum("Rank", {"THREE": 3}).THREE
+    for args in ((True, 2), (3, True), (3, 2, True), (three, 2)):
         with pytest.raises(ValueError):
             ModuliParams(*args)
 

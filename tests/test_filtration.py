@@ -1,4 +1,5 @@
 import collections
+import enum
 import functools
 import itertools
 import tracemalloc
@@ -76,9 +77,16 @@ def test_mk_validation():
         check_first_criterion(FiltrationTable({}), 1, -1)
 
 
+class Small(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
 @pytest.mark.parametrize("m, k, message", [
     (True, 0, "m must be an integer >= 1"),
     (1, False, "k must be an integer >= 0"),
+    (Small.ONE, 0, "m must be an integer >= 1"),
+    (1, Small.ZERO, "k must be an integer >= 0"),
 ])
 def test_bool_m_and_k_are_rejected(m, k, message):
     table = FiltrationTable({(1, 0): 1})
@@ -360,7 +368,7 @@ def test_search_argument_validation():
 
 
 @pytest.mark.parametrize("bounds", [(1.5, 1, 1), (1, 1.0, 1), (1, 1, 1.0), (True, 1, 1),
-                                    (1, 1, False), ("1", 1, 1)])
+                                    (1, 1, False), ("1", 1, 1), (Small.ONE, 1, 1)])
 def test_search_bounds_must_be_ints(bounds):
     with pytest.raises(ValueError, match="must be an int"):
         count_search_tables(*bounds, [1], [0])

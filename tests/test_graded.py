@@ -2,6 +2,8 @@
 the key and value checks of the graded and polynomial constructors, and
 the JSON readers, which accept only what the constructors accept."""
 
+import enum
+
 import pytest
 
 from pwcheck.epoly import CohomologyProfile
@@ -48,6 +50,10 @@ def test_the_two_classes_never_compare_equal():
     assert CohomologyProfile({0: 1}) != FiltrationTable({(0, 0): 1})
 
 
+class Small(enum.IntEnum):
+    ONE = 1
+
+
 @pytest.mark.parametrize("cls, cells, message", [
     (FiltrationTable, {(0, 0): -1}, "value at (0, 0) must be a nonnegative int"),
     (FiltrationTable, {(1, 2): True}, "value at (1, 2) must be a nonnegative int"),
@@ -81,6 +87,11 @@ def test_the_two_classes_never_compare_equal():
     (BiLaurentPoly, {(0, 0, 0): 1}, "exponent key (0, 0, 0) must be a pair of ints"),
     (BiLaurentPoly, {2: 1}, "exponent key 2 must be a pair of ints"),
     (BiLaurentPoly, {(2.0, 0): 0}, "exponent key (2.0, 0) must be a pair of ints"),
+    # An int subclass is no exact int either.
+    (FiltrationTable, {(Small.ONE, 0): 1},
+     "cell index (<Small.ONE: 1>, 0) must be a pair of nonnegative ints"),
+    (FiltrationTable, {(1, 2): Small.ONE}, "value at (1, 2) must be a nonnegative int"),
+    (CohomologyProfile, {Small.ONE: 1}, "degree <Small.ONE: 1> must be an int or its decimal str"),
 ])
 def test_validation_messages(cls, cells, message):
     with pytest.raises(ValueError) as info:

@@ -91,6 +91,9 @@ def test_endoscopic_bound_values():
         endoscopic_bound(1, 2)
     with pytest.raises(ValueError):
         endoscopic_bound(3, 1)
+    for n in (4.5, 5.0):
+        with pytest.raises(ValueError):
+            endoscopic_bound(n, 2)
 
 
 @pytest.mark.parametrize("n,g", GRID)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwcheck.epoly import NotPrimeError, closed_e, make_params, variant_betti
+from pwcheck.epoly import NotPrimeError, closed_e, make_params, require_prime, variant_betti
 from pwcheck.hookchar import (
     IdentityFailureError,
     SpecialType,
@@ -37,6 +37,23 @@ def test_split_hook_rank_three():
 def test_hooks_require_prime_rank():
     with pytest.raises(NotPrimeError):
         special_hook(SpecialType.SPLIT, 4)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: special_hook(SpecialType.SPLIT, 5.0), NotPrimeError, id="hook-float-n"),
+    pytest.param(lambda: require_prime(5.0), NotPrimeError, id="require-prime-float"),
+    pytest.param(lambda: count_multiplier(SpecialType.SPLIT, 4, 2), NotPrimeError,
+                 id="count-composite-n"),
+    pytest.param(lambda: count_multiplier(SpecialType.SPLIT, True, 2), NotPrimeError,
+                 id="count-bool-n"),
+    pytest.param(lambda: count_multiplier(SpecialType.SPLIT, 3, 1.5), ValueError,
+                 id="count-float-g"),
+    pytest.param(lambda: type_contribution(special_hook(SpecialType.SPLIT, 3), 1), ValueError,
+                 id="contribution-genus-one"),
+])
+def test_character_route_refuses_a_bad_rank_or_genus(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_type_contribution_rank_two():

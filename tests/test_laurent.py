@@ -178,7 +178,7 @@ def test_polynomials_in_different_variables_never_compare_equal():
 
 def test_pow_rejects_a_bad_exponent():
     for p in (LaurentPoly.one(), BiLaurentPoly.one()):
-        for n in (-1, 1.0, "2"):
+        for n in (-1, 1.0, "2", True):
             with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
                 p ** n
 
