@@ -11,11 +11,10 @@ sum over both must reproduce the closed formula exactly.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 from ._frozen import require_int
 from .epoly import ModuliParams, closed_e, require_prime
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _exact_quotient
 
 
 class IdentityFailureError(ArithmeticError):
@@ -49,13 +48,19 @@ def special_hook(kind: SpecialType, n: int) -> LaurentPoly:
     return shift * LaurentPoly({0: 1, n: -1})
 
 
+def _count_numerator(kind: SpecialType, n: int, g: int) -> int:
+    """n * count_multiplier(kind, n, g): unit_sign + power_sign * n^{2g}."""
+    unit_sign, power_sign = _COUNT_SIGNS[kind]
+    return unit_sign + power_sign * n ** (2 * g)
+
+
 def count_multiplier(kind: SpecialType, n: int, g: int) -> Fraction:
     """Number of characters in the family, up to the shared scale:
     unit_sign/n + power_sign * n^{2g-1}, with the signs from _COUNT_SIGNS."""
     require_prime(n)
     require_int(g, 2, "genus g must be an integer >= 2")
-    unit_sign, power_sign = _COUNT_SIGNS[kind]
-    return Fraction(unit_sign, n) + power_sign * n ** (2 * g - 1)
+    from fractions import Fraction
+    return Fraction(_count_numerator(kind, n, g), n)
 
 
 def type_contribution(hook: LaurentPoly, g: int) -> LaurentPoly:
@@ -68,8 +73,8 @@ def type_contribution(hook: LaurentPoly, g: int) -> LaurentPoly:
 
 
 def evar_type_route(params: ModuliParams) -> LaurentPoly:
-    """Variant E-polynomial summed over the two special families.
-
+    """Variant E-polynomial summed over the two special families, on ints:
+    the counts' 1/n comes last, as an exact division of each coefficient.
     Never reads closed_e: it is the independent side of evar_from_types.
     """
     n, g = params.n, params.g
@@ -77,8 +82,8 @@ def evar_type_route(params: ModuliParams) -> LaurentPoly:
     total = LaurentPoly.zero()
     for kind in SpecialType:
         hook = special_hook(kind, n)
-        total = total + count_multiplier(kind, n, g) * type_contribution(hook, g)
-    return total
+        total = total + _count_numerator(kind, n, g) * type_contribution(hook, g)
+    return LaurentPoly({e: _exact_quotient(c, n) for e, c in total.terms()})
 
 
 def evar_closed_route(params: ModuliParams) -> LaurentPoly:

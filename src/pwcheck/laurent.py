@@ -1,11 +1,11 @@
 """Exact Laurent polynomials in one or two variables over the rationals.
 
 Exponents are integers: the key ``3`` means ``q**3``.  A coefficient is
-stored as an ``int`` when it is integral and as a ``fractions.Fraction``
-(denominator > 1) otherwise; no floats ever appear, so equality of
-polynomials is exact.  The two variants print, serialise and hash alike:
-``str(3) == str(Fraction(3))``.  For compatibility the JSON form writes
-each exponent doubled and reads back only even keys.
+an ``int`` when integral and a ``fractions.Fraction`` (denominator > 1)
+otherwise, and ``fractions`` is imported only where one is made; no
+floats ever appear, so equality is exact.  Both kinds print, serialise
+and hash alike: ``str(3) == str(Fraction(3))``.  For compatibility the
+JSON form writes each exponent doubled and reads back only even keys.
 
 >>> p = LaurentPoly({1: 1, 0: -2, -1: 1})      # q - 2 + q**-1
 >>> print(p * p)
@@ -16,8 +16,8 @@ q - 2 + q^-1
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterator, Mapping
-from fractions import Fraction
 
 from ._frozen import SparseMap, require_int
 
@@ -36,6 +36,7 @@ def _coerce(value: int | str | Fraction) -> int | Fraction:
         return value
     if isinstance(value, (float, bool)):
         raise TypeError(f"{type(value).__name__} coefficients are not allowed; use Fraction")
+    from fractions import Fraction
     value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -44,6 +45,7 @@ def _exact_quotient(x: int | Fraction, y: int | Fraction) -> int | Fraction:
     """x / y without a float: an int when y divides x, else a Fraction."""
     if type(x) is int and type(y) is int and x % y == 0:
         return x // y
+    from fractions import Fraction
     return _coerce(Fraction(x) / y)
 
 
@@ -117,15 +119,16 @@ class _SparsePoly(SparseMap):
             yield key, self._c[key]
 
     def _as_poly(self, other: object) -> _SparsePoly | None:
-        """other as this class, an int or Fraction as a constant, else None."""
+        """other as this class, a rational scalar as a constant, else None."""
         if isinstance(other, type(self)):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, numbers.Rational):
             return type(self)({self._UNIT: other})
         return None
 
     def __eq__(self, other: object) -> bool:
-        rhs = self._as_poly(other)
+        # A bool is refused as a coefficient, so no polynomial equals one.
+        rhs = None if type(other) is bool else self._as_poly(other)
         if rhs is None:
             return NotImplemented
         return self._c == rhs._c
@@ -284,6 +287,7 @@ class LaurentPoly(_SparsePoly):
         Fraction(3, 5)
         """
         # A Fraction base keeps x ** -k exact; an int base would give a float.
+        from fractions import Fraction
         x = Fraction(_coerce(x))
         if x == 0 and any(t < 0 for t in self._c):
             raise EvalDomainError("negative exponent at x = 0")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import pwcheck.epoly as epoly
 from pwcheck.epoly import (
     CohomologyProfile,
     ModuliParams,
@@ -98,6 +99,18 @@ def test_euler_characteristic(n, g):
     params = make_params(n, g)
     assert euler_variant(params) == EULER[(n, g)]
     assert variant_betti(params).euler() == EULER[(n, g)]
+
+
+def test_closed_e_is_built_once_per_rank_and_genus(monkeypatch):
+    built = []
+    bracket = epoly.variant_bracket
+    monkeypatch.setattr(epoly, "variant_bracket",
+                        lambda n, g: built.append((n, g)) or bracket(n, g))
+    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
+    first = closed_e(make_params(5, 2))
+    assert closed_e(make_params(5, 2, 3)) is first and built == [(5, 2)]
+    closed_e(make_params(3, 2))
+    assert closed_e(make_params(5, 2)) == first and built == [(5, 2), (3, 2), (5, 2)]
 
 
 def test_mirror_difference_small_case():

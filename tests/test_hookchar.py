@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from pwcheck.epoly import NotPrimeError, closed_e, make_params, require_prime, variant_betti
+from pwcheck.epoly import (
+    NotPrimeError, closed_e, make_params, mirror_difference, require_prime, variant_betti)
 from pwcheck.hookchar import (
     IdentityFailureError,
     SpecialType,
@@ -56,6 +57,17 @@ def test_character_route_refuses_a_bad_rank_or_genus(call, error):
         call()
 
 
+@pytest.mark.parametrize("n, message", [
+    ("5", "rank '5' is not prime"),
+    (5.0, "rank 5.0 is not prime"),
+    (4, "rank 4 is not prime"),
+])
+def test_require_prime_names_the_rank_by_its_repr(n, message):
+    with pytest.raises(NotPrimeError) as caught:
+        require_prime(n)
+    assert str(caught.value) == message
+
+
 def test_type_contribution_rank_two():
     split = type_contribution(special_hook(SpecialType.SPLIT, 2), 2)
     nonsplit = type_contribution(special_hook(SpecialType.NONSPLIT, 2), 2)
@@ -70,6 +82,24 @@ def test_count_multipliers():
     assert nonsplit == Fraction(1, 2) - 8
     # the two multipliers are exact negatives of each other
     assert split == -nonsplit
+
+
+@pytest.mark.parametrize("n,g", [(2, 2), (3, 2), (5, 3), (7, 2), (13, 4)])
+def test_count_multiplier_keeps_its_value_and_type(n, g):
+    for kind, unit_sign, power_sign in [(SpecialType.SPLIT, -1, 1),
+                                        (SpecialType.NONSPLIT, 1, -1)]:
+        got = count_multiplier(kind, n, g)
+        assert got == Fraction(unit_sign, n) + power_sign * n ** (2 * g - 1)
+        assert type(got) is Fraction
+
+
+@pytest.mark.parametrize("n,g", [(2, 2), (3, 3), (5, 2), (7, 2), (13, 4)])
+def test_every_route_runs_on_ints(n, g):
+    # Every coefficient is a signed Betti number or dimension, and each
+    # route divides by n only at the end, exactly.
+    params = make_params(n, g)
+    for poly in (closed_e(params), evar_type_route(params), mirror_difference(params)):
+        assert poly and all(type(c) is int for _, c in poly.terms())
 
 
 @pytest.mark.parametrize("n,g", GRID)

@@ -11,6 +11,7 @@ from pwcheck.laurent import (
     EvalDomainError,
     InexactDivisionError,
     LaurentPoly,
+    _exact_quotient,
 )
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -45,6 +46,25 @@ def test_float_coefficients_rejected():
         LaurentPoly({0: True})
     with pytest.raises(TypeError, match="^bool coefficients"):
         LaurentPoly.one() * True
+
+
+@pytest.mark.parametrize("cls", [LaurentPoly, BiLaurentPoly])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_equals_no_polynomial(cls, flag):
+    # A bool is refused as a coefficient, so == and != compare it as
+    # unequal instead of raising.
+    for p in (cls.zero(), cls.one()):
+        assert not p == flag and p != flag
+        assert not flag == p and flag != p
+
+
+def test_a_proper_fraction_stays_a_fraction():
+    half = dict(LaurentPoly({0: "1/2"}).terms())[0]
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    value = LaurentPoly({1: 1}).eval_at(2)
+    assert type(value) is Fraction and value == 2
+    assert type(_exact_quotient(3, 2)) is Fraction and _exact_quotient(3, 2) == Fraction(3, 2)
+    assert type(_exact_quotient(4, 2)) is int and _exact_quotient(4, 2) == 2
 
 
 def test_zero_coefficients_dropped():
