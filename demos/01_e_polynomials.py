@@ -3,10 +3,10 @@
 Run:  python3 demos/01_e_polynomials.py
 """
 
-from pwcheck import closed_e, euler_variant, make_params, variant_betti
+from pwcheck import ModuliParams, closed_e, euler_variant, variant_betti
 
 for n, g in [(2, 2), (3, 2), (2, 3)]:
-    params = make_params(n, g)
+    params = ModuliParams(n, g)
     poly = closed_e(params)
     print(f"n={n} g={g}  dim={params.dim}")
     print(f"  E = {poly}")
@@ -22,6 +22,6 @@ for n, g in [(2, 2), (3, 2), (2, 3)]:
 
 # Everything is exact: coefficients are rationals that happen to be
 # integers, and evaluation keeps them that way.
-poly = closed_e(make_params(5, 2))
+poly = closed_e(ModuliParams(5, 2))
 print("q = 1 gives the Euler number:", poly.eval_at(1))
 print("q = 4 evaluates exactly:     ", poly.eval_at(4))

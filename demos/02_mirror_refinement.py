@@ -3,9 +3,9 @@
 Run:  python3 demos/02_mirror_refinement.py
 """
 
-from pwcheck import closed_e, make_params, mirror_difference
+from pwcheck import ModuliParams, closed_e, mirror_difference
 
-params = make_params(2, 2)
+params = ModuliParams(2, 2)
 two_var = mirror_difference(params)
 print("rank 2, genus 2 refinement:")
 print(f"  {two_var}")
@@ -17,7 +17,7 @@ print(f"  equals the closed form:  {diag == closed_e(params)}")
 print()
 
 # The same collapse holds at every prime rank; here is a bigger one.
-params = make_params(3, 3)
+params = ModuliParams(3, 3)
 two_var = mirror_difference(params)
 terms = list(two_var.terms())
 print(f"rank 3, genus 3 refinement has {len(terms)} terms; a few of them:")

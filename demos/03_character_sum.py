@@ -1,29 +1,27 @@
-"""The character-sum route: hooks, multiplicities, and the cross-check.
+"""The character-sum route: hooks and the cross-check.
 
 Run:  python3 demos/03_character_sum.py
 """
 
 from pwcheck import (
+    ModuliParams,
     SpecialType,
     closed_e,
-    count_multiplier,
     evar_closed_route,
     evar_from_types,
     evar_type_route,
-    make_params,
     special_hook,
     type_contribution,
 )
 from pwcheck.laurent import LaurentPoly
 
 n, g = 3, 2
-params = make_params(n, g)
+params = ModuliParams(n, g)
 
 print(f"rank {n}: the two special families and their hooks")
 for kind in SpecialType:
     hook = special_hook(kind, n)
     print(f"  {kind.value:8s} hook = {hook}")
-    print(f"           counted with multiplicity {count_multiplier(kind, n, g)}")
     contrib = type_contribution(hook, g)
     print(f"           contribution = {contrib}")
 print()

@@ -3,9 +3,9 @@
 Run:  python3 demos/05_pw_tables.py
 """
 
-from pwcheck import make_params, perverse_table, verify_pw, weight_table
+from pwcheck import ModuliParams, perverse_table, verify_pw, weight_table
 
-params = make_params(3, 2)
+params = ModuliParams(3, 2)
 print(f"n=3 g=2  (m={params.half_dim}, k={params.curious_shift})")
 print("perverse table (from the closed E-polynomial):")
 for (i, j), v in perverse_table(params).items():
@@ -22,6 +22,6 @@ print()
 print("the same verification across the full grid:")
 for n in (2, 3, 5, 7):
     for g in (2, 3, 4):
-        report = verify_pw(make_params(n, g))
+        report = verify_pw(ModuliParams(n, g))
         print(f"  {report.verdict}  "
               f"(total variant dimension {report.perverse.total()})")

@@ -1,5 +1,7 @@
 """Exact verification of perverse = weight identities at prime rank."""
 
+import types  # already loaded by enum
+
 from .epoly import (
     CohomologyProfile,
     InconsistentFormulaError,
@@ -7,7 +9,6 @@ from .epoly import (
     NotPrimeError,
     closed_e,
     euler_variant,
-    make_params,
     mirror_difference,
     variant_betti,
 )
@@ -31,7 +32,6 @@ from .hitchin import (
 from .hookchar import (
     IdentityFailureError,
     SpecialType,
-    count_multiplier,
     evar_closed_route,
     evar_from_types,
     evar_type_route,
@@ -47,39 +47,5 @@ from .laurent import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiLaurentPoly",
-    "BudgetExceededError",
-    "CohomologyProfile",
-    "Criterion",
-    "CriterionReport",
-    "EvalDomainError",
-    "FiltrationTable",
-    "IdentityFailureError",
-    "InconsistentFormulaError",
-    "InexactDivisionError",
-    "LaurentPoly",
-    "ModuliParams",
-    "NotPrimeError",
-    "PWReport",
-    "SpecialType",
-    "check_first_criterion",
-    "check_second_criterion",
-    "closed_e",
-    "count_multiplier",
-    "endoscopic_bound",
-    "euler_variant",
-    "evar_closed_route",
-    "evar_from_types",
-    "evar_type_route",
-    "falsification_search",
-    "is_k_sequence",
-    "make_params",
-    "mirror_difference",
-    "perverse_table",
-    "special_hook",
-    "type_contribution",
-    "variant_betti",
-    "verify_pw",
-    "weight_table",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

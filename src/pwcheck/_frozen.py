@@ -15,6 +15,11 @@ def require_int(value: object, low: int, message: str) -> None:
         raise ValueError(message)
 
 
+def is_int_pair(key: object) -> bool:
+    """True when key is a tuple of two exact ints."""
+    return type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int
+
+
 def compact_json(obj: object) -> str:
     """obj as JSON text with no space after a separator."""
     import json

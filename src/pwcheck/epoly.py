@@ -14,7 +14,7 @@ from collections.abc import Mapping
 
 from ._frozen import require_int
 from .filtration import _Graded, _Record
-from .laurent import BiLaurentPoly, LaurentPoly, _exact_quotient
+from .laurent import BiLaurentPoly, LaurentPoly
 
 
 class NotPrimeError(ValueError):
@@ -72,10 +72,6 @@ class ModuliParams(_Record):
         return self.n * (self.n - 1) * (self.g - 1)
 
 
-def make_params(n: int, g: int, d: int = 1) -> ModuliParams:
-    return ModuliParams(n, g, d)
-
-
 def variant_bracket(n: int, g: int) -> LaurentPoly:
     """(q-1)^{(n-1)(2g-2)} - (1+q+...+q^{n-1})^{2g-2}.
 
@@ -103,7 +99,7 @@ def closed_e(params: ModuliParams) -> LaurentPoly:
     if (n, g) not in _CLOSED_MEMO:
         product = LaurentPoly({params.dim: n ** (2 * g) - 1}) * variant_bracket(n, g)
         _CLOSED_MEMO.clear()
-        _CLOSED_MEMO[n, g] = LaurentPoly({e: _exact_quotient(c, n) for e, c in product.terms()})
+        _CLOSED_MEMO[n, g] = product._divide_coefficients(n)
     return _CLOSED_MEMO[n, g]
 
 
@@ -128,7 +124,7 @@ def mirror_difference(params: ModuliParams) -> BiLaurentPoly:
     bracket = u_minus_1 ** a * v_minus_1 ** a - s_u ** b * s_v ** b
     # The scale's 1/n comes last, as in closed_e, so the product runs on ints.
     product = prefix * bracket
-    return BiLaurentPoly({key: _exact_quotient(c, n) for key, c in product.terms()})
+    return product._divide_coefficients(n)
 
 
 class CohomologyProfile(_Graded):

@@ -16,7 +16,7 @@ import enum
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
 
-from ._frozen import Frozen, SparseMap, require_int
+from ._frozen import Frozen, SparseMap, is_int_pair, require_int
 
 # The most (table, m, k) cases a search visits unless given a budget.
 DEFAULT_BUDGET = 10 ** 7
@@ -135,10 +135,9 @@ class FiltrationTable(_Graded):
 
     @staticmethod
     def _key(key: tuple[int, int]) -> tuple[int, int]:
-        i, j = key
-        if type(i) is not int or i < 0 or type(j) is not int or j < 0:
+        if not is_int_pair(key) or key[0] < 0 or key[1] < 0:
             raise ValueError(f"cell index {key} must be a pair of nonnegative ints")
-        return i, j
+        return key
 
     def get(self, i: int, j: int) -> int:
         return self._c.get((i, j), 0)

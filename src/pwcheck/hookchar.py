@@ -14,7 +14,7 @@ import enum
 
 from ._frozen import require_int
 from .epoly import ModuliParams, closed_e, require_prime
-from .laurent import LaurentPoly, _exact_quotient
+from .laurent import LaurentPoly
 
 
 class IdentityFailureError(ArithmeticError):
@@ -24,14 +24,6 @@ class IdentityFailureError(ArithmeticError):
 class SpecialType(enum.Enum):
     SPLIT = "split"
     NONSPLIT = "nonsplit"
-
-
-# Per family: sign of the 1/n term and sign of the n^{2g-1} term in the
-# multiplicity with which its contribution is counted.
-_COUNT_SIGNS = {
-    SpecialType.SPLIT: (-1, 1),
-    SpecialType.NONSPLIT: (1, -1),
-}
 
 
 def special_hook(kind: SpecialType, n: int) -> LaurentPoly:
@@ -49,18 +41,10 @@ def special_hook(kind: SpecialType, n: int) -> LaurentPoly:
 
 
 def _count_numerator(kind: SpecialType, n: int, g: int) -> int:
-    """n * count_multiplier(kind, n, g): unit_sign + power_sign * n^{2g}."""
-    unit_sign, power_sign = _COUNT_SIGNS[kind]
-    return unit_sign + power_sign * n ** (2 * g)
-
-
-def count_multiplier(kind: SpecialType, n: int, g: int) -> Fraction:
-    """Number of characters in the family, up to the shared scale:
-    unit_sign/n + power_sign * n^{2g-1}, with the signs from _COUNT_SIGNS."""
-    require_prime(n)
-    require_int(g, 2, "genus g must be an integer >= 2")
-    from fractions import Fraction
-    return Fraction(_count_numerator(kind, n, g), n)
+    """n times the number of characters in the family, up to the shared
+    scale: n^{2g} - 1 for the split family and 1 - n^{2g} for the nonsplit one."""
+    power = n ** (2 * g)
+    return power - 1 if kind is SpecialType.SPLIT else 1 - power
 
 
 def type_contribution(hook: LaurentPoly, g: int) -> LaurentPoly:
@@ -83,7 +67,7 @@ def evar_type_route(params: ModuliParams) -> LaurentPoly:
     for kind in SpecialType:
         hook = special_hook(kind, n)
         total = total + _count_numerator(kind, n, g) * type_contribution(hook, g)
-    return LaurentPoly({e: _exact_quotient(c, n) for e, c in total.terms()})
+    return total._divide_coefficients(n)
 
 
 def evar_closed_route(params: ModuliParams) -> LaurentPoly:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numbers
 from collections.abc import Iterator, Mapping
 
-from ._frozen import SparseMap, require_int
+from ._frozen import SparseMap, is_int_pair, require_int
 
 
 class EvalDomainError(ValueError):
@@ -30,7 +30,7 @@ class InexactDivisionError(ArithmeticError):
     """Laurent division left a nonzero remainder."""
 
 
-def _coerce(value: int | str | Fraction) -> int | Fraction:
+def _coerce(value: str | numbers.Rational) -> numbers.Rational:
     """value as an exact int when integral, else as a Fraction."""
     if type(value) is int:
         return value
@@ -41,7 +41,7 @@ def _coerce(value: int | str | Fraction) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
-def _exact_quotient(x: int | Fraction, y: int | Fraction) -> int | Fraction:
+def _exact_quotient(x: numbers.Rational, y: numbers.Rational) -> numbers.Rational:
     """x / y without a float: an int when y divides x, else a Fraction."""
     if type(x) is int and type(y) is int and x % y == 0:
         return x // y
@@ -62,7 +62,7 @@ def _format_q_power(e: int) -> str:
     return "q" if e == 1 else f"q^{e}"
 
 
-def _format_terms(pairs: list[tuple[str, int | Fraction]]) -> str:
+def _format_terms(pairs: list[tuple[str, numbers.Rational]]) -> str:
     out: list[str] = []
     for power, coeff in pairs:
         mag = abs(coeff)
@@ -90,8 +90,8 @@ class _SparsePoly(SparseMap):
 
     __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[object, int | str | Fraction] | None = None):
-        data: dict[object, int | Fraction] = {}
+    def __init__(self, coeffs: Mapping[object, str | numbers.Rational] | None = None):
+        data: dict[object, numbers.Rational] = {}
         if coeffs:
             key, plain = self._key, self._PLAIN_KEY
             for k, c in coeffs.items():
@@ -113,10 +113,14 @@ class _SparsePoly(SparseMap):
     def one(cls) -> _SparsePoly:
         return cls({cls._UNIT: 1})
 
-    def terms(self) -> Iterator[tuple[object, int | Fraction]]:
+    def terms(self) -> Iterator[tuple[object, numbers.Rational]]:
         """(key, coefficient) pairs in increasing key order."""
         for key in sorted(self._c):
             yield key, self._c[key]
+
+    def _divide_coefficients(self, n: int) -> _SparsePoly:
+        """This polynomial with every coefficient divided by n, exactly."""
+        return type(self)({k: _exact_quotient(c, n) for k, c in self._c.items()})
 
     def _as_poly(self, other: object) -> _SparsePoly | None:
         """other as this class, a rational scalar as a constant, else None."""
@@ -222,7 +226,7 @@ class LaurentPoly(_SparsePoly):
         rhs = self._as_poly(other)
         if rhs is None:
             return NotImplemented
-        data: dict[int, int | Fraction] = {}
+        data: dict[int, numbers.Rational] = {}
         for ta, ca in self._c.items():
             for tb, cb in rhs._c.items():
                 t = ta + tb
@@ -254,7 +258,7 @@ class LaurentPoly(_SparsePoly):
         if len(a) < len(b):
             raise InexactDivisionError("divisor does not divide exactly")
         lead = b[-1]
-        quot: dict[int, int | Fraction] = {}
+        quot: dict[int, numbers.Rational] = {}
         for i in range(len(a) - len(b), -1, -1):
             c = _exact_quotient(a[i + len(b) - 1], lead)
             if c:
@@ -280,7 +284,7 @@ class LaurentPoly(_SparsePoly):
         """
         return self._c == self.reverse(weight)._c
 
-    def eval_at(self, x: int | str | Fraction) -> Fraction:
+    def eval_at(self, x: str | numbers.Rational) -> numbers.Rational:
         """Evaluate at a rational point; negative exponents require x != 0.
 
         >>> LaurentPoly({-1: 3}).eval_at(5)
@@ -322,8 +326,7 @@ class BiLaurentPoly(_SparsePoly):
 
     @staticmethod
     def _key(key: tuple[int, int]) -> tuple[int, int]:
-        if (type(key) is not tuple or len(key) != 2
-                or type(key[0]) is not int or type(key[1]) is not int):
+        if not is_int_pair(key):
             raise ValueError(f"exponent key {key!r} must be a pair of ints")
         return key
 
@@ -352,7 +355,7 @@ class BiLaurentPoly(_SparsePoly):
         rhs = self._as_poly(other)
         if rhs is None:
             return NotImplemented
-        data: dict[tuple[int, int], int | Fraction] = {}
+        data: dict[tuple[int, int], numbers.Rational] = {}
         for (au, av), ca in self._c.items():
             for (bu, bv), cb in rhs._c.items():
                 k = (au + bu, av + bv)
@@ -374,7 +377,7 @@ class BiLaurentPoly(_SparsePoly):
         >>> print(BiLaurentPoly({(2, 1): 3}).diagonal())
         3*q^3
         """
-        data: dict[int, int | Fraction] = {}
+        data: dict[int, numbers.Rational] = {}
         for (a, b), c in self._c.items():
             t = a + b
             data[t] = data.get(t, 0) + c

@@ -7,7 +7,7 @@ arithmetic is exact; the parameter grid is every prime rank in
 
 import random
 
-from pwcheck.epoly import closed_e, euler_variant, make_params, mirror_difference, variant_betti
+from pwcheck.epoly import ModuliParams, closed_e, euler_variant, mirror_difference, variant_betti
 from pwcheck.filtration import (
     Criterion,
     FiltrationTable,
@@ -29,7 +29,7 @@ def _report(num: int, name: str, ok: bool) -> None:
 
 
 def test_criterion_1_base_case():
-    profile = variant_betti(make_params(2, 2))
+    profile = variant_betti(ModuliParams(2, 2))
     ok = profile == {5: 30} and profile.total() == 30 and profile[5] == 30
     _report(1, "rank 2 genus 2 has a single 30-dimensional group", ok)
 
@@ -38,7 +38,7 @@ def test_criterion_2_palindromy():
     ok = True
     for n, g in GRID:
         weight = (2 * g - 2) * (2 * n * n + n - 3)
-        poly = closed_e(make_params(n, g))
+        poly = closed_e(ModuliParams(n, g))
         ok = ok and poly.is_palindromic(weight)
         ok = ok and not poly.is_palindromic(weight + 2)
     _report(2, "E-polynomial palindromic at its exact weight", ok)
@@ -46,7 +46,7 @@ def test_criterion_2_palindromy():
 
 def test_criterion_3_mirror_diagonal():
     ok = all(
-        mirror_difference(make_params(n, g)).diagonal() == closed_e(make_params(n, g))
+        mirror_difference(ModuliParams(n, g)).diagonal() == closed_e(ModuliParams(n, g))
         for n, g in GRID)
     _report(3, "two-variable refinement collapses to closed form", ok)
 
@@ -54,7 +54,7 @@ def test_criterion_3_mirror_diagonal():
 def test_criterion_4_character_sum_route():
     ok = True
     for n, g in GRID:
-        params = make_params(n, g)
+        params = ModuliParams(n, g)
         if evar_type_route(params) != evar_closed_route(params):
             ok = False
             break
@@ -69,7 +69,7 @@ def test_criterion_4_character_sum_route():
 def test_criterion_5_pw_tables():
     ok = True
     for n, g in GRID:
-        report = verify_pw(make_params(n, g))
+        report = verify_pw(ModuliParams(n, g))
         ok = ok and report.holds and report.tables_equal
         ok = ok and report.perverse_check.passed and report.weight_check.passed
         ok = ok and report.perverse_check.is_k_seq and report.weight_check.is_k_seq
@@ -110,7 +110,7 @@ def test_criterion_6_falsification_search():
 def test_criterion_7_curious_symmetry():
     ok = True
     for n, g in GRID:
-        params = make_params(n, g)
+        params = ModuliParams(n, g)
         profile = variant_betti(params)
         center = params.half_dim + params.curious_shift
         ok = ok and all(
@@ -122,7 +122,7 @@ def test_criterion_7_curious_symmetry():
 def test_criterion_8_euler_characteristic():
     ok = True
     for n, g in GRID:
-        params = make_params(n, g)
+        params = ModuliParams(n, g)
         expected = -(n ** (2 * g) - 1) * n ** (2 * g - 3)
         ok = ok and euler_variant(params) == expected
         ok = ok and variant_betti(params).euler() == expected
@@ -132,7 +132,7 @@ def test_criterion_8_euler_characteristic():
 def test_criterion_9_support_bound():
     ok = True
     for n, g in GRID:
-        params = make_params(n, g)
+        params = ModuliParams(n, g)
         low, high = variant_betti(params).support()
         ok = ok and low >= 2 * endoscopic_bound(n, g) + 1
         ok = ok and high <= params.dim - 1

@@ -10,7 +10,6 @@ from pwcheck.epoly import (
     NotPrimeError,
     closed_e,
     euler_variant,
-    make_params,
     mirror_difference,
     variant_betti,
 )
@@ -80,23 +79,23 @@ def _oracle_closed_e(n, g):
 
 @pytest.mark.parametrize("n,g", sorted(CLOSED_E))
 def test_closed_e_matches_frozen_values(n, g):
-    got = dict(closed_e(make_params(n, g)).terms())
+    got = dict(closed_e(ModuliParams(n, g)).terms())
     assert {e: int(c) for e, c in got.items()} == CLOSED_E[(n, g)]
 
 
 @pytest.mark.parametrize("n,g", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 4), (7, 2)])
 def test_closed_e_agrees_with_convolution_oracle(n, g):
-    assert dict(closed_e(make_params(n, g)).terms()) == _oracle_closed_e(n, g)
+    assert dict(closed_e(ModuliParams(n, g)).terms()) == _oracle_closed_e(n, g)
 
 
 @pytest.mark.parametrize("n,g", sorted(BETTI))
 def test_variant_betti_matches_frozen_values(n, g):
-    assert variant_betti(make_params(n, g)) == BETTI[(n, g)]
+    assert variant_betti(ModuliParams(n, g)) == BETTI[(n, g)]
 
 
 @pytest.mark.parametrize("n,g", sorted(EULER))
 def test_euler_characteristic(n, g):
-    params = make_params(n, g)
+    params = ModuliParams(n, g)
     assert euler_variant(params) == EULER[(n, g)]
     assert variant_betti(params).euler() == EULER[(n, g)]
 
@@ -107,14 +106,14 @@ def test_closed_e_is_built_once_per_rank_and_genus(monkeypatch):
     monkeypatch.setattr(epoly, "variant_bracket",
                         lambda n, g: built.append((n, g)) or bracket(n, g))
     monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
-    first = closed_e(make_params(5, 2))
-    assert closed_e(make_params(5, 2, 3)) is first and built == [(5, 2)]
-    closed_e(make_params(3, 2))
-    assert closed_e(make_params(5, 2)) == first and built == [(5, 2), (3, 2), (5, 2)]
+    first = closed_e(ModuliParams(5, 2))
+    assert closed_e(ModuliParams(5, 2, 3)) is first and built == [(5, 2)]
+    closed_e(ModuliParams(3, 2))
+    assert closed_e(ModuliParams(5, 2)) == first and built == [(5, 2), (3, 2), (5, 2)]
 
 
 def test_mirror_difference_small_case():
-    got = mirror_difference(make_params(2, 2))
+    got = mirror_difference(ModuliParams(2, 2))
     assert got == BiLaurentPoly({(4, 3): -15, (3, 4): -15})
 
 
@@ -131,34 +130,34 @@ def test_mirror_difference_matches_the_dense_formula(n, g):
                 * BiLaurentPoly({(m, m): 1})
                 * ((u_minus_1 * v_minus_1) ** ((n - 1) * (g - 1))
                    - (s_u * s_v) ** (g - 1)))
-    assert mirror_difference(make_params(n, g)) == expected
+    assert mirror_difference(ModuliParams(n, g)) == expected
 
 
 @pytest.mark.parametrize("n,g", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3)])
 def test_mirror_difference_diagonal_and_symmetry(n, g):
-    params = make_params(n, g)
+    params = ModuliParams(n, g)
     two_var = mirror_difference(params)
     assert two_var.diagonal() == closed_e(params)
     assert two_var.swap() == two_var
 
 
 def test_params_numerology():
-    params = make_params(3, 2)
+    params = ModuliParams(3, 2)
     assert params.dim == 16
     assert params.half_dim == 8
     assert params.curious_shift == 6
-    assert make_params(2, 4).dim == 18
+    assert ModuliParams(2, 4).dim == 18
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        make_params(1, 2)
+        ModuliParams(1, 2)
     with pytest.raises(ValueError):
-        make_params(2, 1)
+        ModuliParams(2, 1)
     with pytest.raises(ValueError):
-        make_params(3, 2, 6)   # gcd(3, 6) != 1
-    make_params(3, 2, 5)       # coprime degree is fine
-    make_params(4, 2)          # composite rank allowed at the params level
+        ModuliParams(3, 2, 6)   # gcd(3, 6) != 1
+    ModuliParams(3, 2, 5)       # coprime degree is fine
+    ModuliParams(4, 2)          # composite rank allowed at the params level
 
 
 def test_composite_rank_rejected_by_formulas():
@@ -180,11 +179,11 @@ def test_params_reject_bool():
 
 
 def test_betti_independent_of_degree():
-    assert variant_betti(make_params(3, 2, 1)) == variant_betti(make_params(3, 2, 2))
+    assert variant_betti(ModuliParams(3, 2, 1)) == variant_betti(ModuliParams(3, 2, 2))
 
 
 def test_profile_serialization_round_trip():
-    profile = variant_betti(make_params(3, 2))
+    profile = variant_betti(ModuliParams(3, 2))
     assert CohomologyProfile.from_json(profile.to_json()) == profile
     assert profile.to_json() == '{"13":160,"14":80,"15":160}'
     assert profile.to_csv() == "degree,dimension\n13,160\n14,80\n15,160\n"
@@ -198,7 +197,7 @@ def test_profile_rejects_bad_values():
 
 
 def test_profile_support_and_total():
-    profile = variant_betti(make_params(5, 2))
+    profile = variant_betti(ModuliParams(5, 2))
     assert profile.support() == (41, 47)
     assert profile.total() == 31824
     assert profile[0] == 0

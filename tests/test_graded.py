@@ -92,6 +92,9 @@ class Small(enum.IntEnum):
      "cell index (<Small.ONE: 1>, 0) must be a pair of nonnegative ints"),
     (FiltrationTable, {(1, 2): Small.ONE}, "value at (1, 2) must be a nonnegative int"),
     (CohomologyProfile, {Small.ONE: 1}, "degree <Small.ONE: 1> must be an int or its decimal str"),
+    # A cell index is a pair, as a BiLaurentPoly key is, before its sign is read.
+    (FiltrationTable, {2: 1}, "cell index 2 must be a pair of nonnegative ints"),
+    (FiltrationTable, {(0, 0, 0): 1}, "cell index (0, 0, 0) must be a pair of nonnegative ints"),
 ])
 def test_validation_messages(cls, cells, message):
     with pytest.raises(ValueError) as info:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pwcheck.epoly import CohomologyProfile, InconsistentFormulaError, make_params
+from pwcheck.epoly import CohomologyProfile, InconsistentFormulaError, ModuliParams
 from pwcheck.filtration import FiltrationTable, is_k_sequence
 from pwcheck.hitchin import endoscopic_bound, perverse_table, verify_pw, weight_table
 
@@ -10,20 +10,20 @@ GRID = [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4), (3, 3)]
 
 
 def test_perverse_table_small_cases():
-    assert perverse_table(make_params(2, 2)) == FiltrationTable({(3, 2): 30})
-    assert perverse_table(make_params(3, 2)) == FiltrationTable(
+    assert perverse_table(ModuliParams(2, 2)) == FiltrationTable({(3, 2): 30})
+    assert perverse_table(ModuliParams(3, 2)) == FiltrationTable(
         {(7, 6): 160, (8, 6): 80, (9, 6): 160})
 
 
 def test_weight_table_small_cases():
-    assert weight_table(make_params(2, 2)) == FiltrationTable({(3, 2): 30})
-    assert weight_table(make_params(3, 2)) == FiltrationTable(
+    assert weight_table(ModuliParams(2, 2)) == FiltrationTable({(3, 2): 30})
+    assert weight_table(ModuliParams(3, 2)) == FiltrationTable(
         {(7, 6): 160, (8, 6): 80, (9, 6): 160})
 
 
 @pytest.mark.parametrize("n,g", GRID)
 def test_tables_agree_and_are_k_sequences(n, g):
-    params = make_params(n, g)
+    params = ModuliParams(n, g)
     perverse = perverse_table(params)
     weight = weight_table(params)
     assert perverse == weight
@@ -33,7 +33,7 @@ def test_tables_agree_and_are_k_sequences(n, g):
 
 @pytest.mark.parametrize("n,g", GRID)
 def test_verify_pw(n, g):
-    report = verify_pw(make_params(n, g))
+    report = verify_pw(ModuliParams(n, g))
     assert report.tables_equal
     assert report.perverse_check.passed and report.perverse_check.is_k_seq
     assert report.weight_check.passed and report.weight_check.is_k_seq
@@ -42,7 +42,7 @@ def test_verify_pw(n, g):
 
 
 def test_report_serialization():
-    report = verify_pw(make_params(2, 2))
+    report = verify_pw(ModuliParams(2, 2))
     obj = json.loads(report.to_json())
     assert obj["n"] == 2 and obj["g"] == 2 and obj["d"] == 1
     assert obj["m"] == 3 and obj["k"] == 2
@@ -64,7 +64,7 @@ def test_verify_pw_reports_a_lopsided_profile(monkeypatch):
     # should notice
     fake = CohomologyProfile({5: 30, 6: 1})
     monkeypatch.setattr(hitchin, "variant_betti", lambda params: fake)
-    report = hitchin.verify_pw(make_params(2, 2))
+    report = hitchin.verify_pw(ModuliParams(2, 2))
     assert not report.tables_equal
     assert not report.holds
     assert not report.perverse_check.passed
@@ -76,7 +76,7 @@ def test_perverse_table_rejects_low_degrees(monkeypatch):
     fake = CohomologyProfile({1: 4})    # at or below the shift c = 2
     monkeypatch.setattr(hitchin, "variant_betti", lambda params: fake)
     with pytest.raises(InconsistentFormulaError):
-        hitchin.perverse_table(make_params(2, 2))
+        hitchin.perverse_table(ModuliParams(2, 2))
 
 
 def test_endoscopic_bound_values():
@@ -98,7 +98,7 @@ def test_endoscopic_bound_values():
 
 @pytest.mark.parametrize("n,g", GRID)
 def test_support_sits_above_twice_the_bound(n, g):
-    params = make_params(n, g)
+    params = ModuliParams(n, g)
     table = perverse_table(params)
     rows = [i for (i, _), _ in table.items()]
     floor = 2 * endoscopic_bound(n, g) + 1

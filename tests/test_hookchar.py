@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 
 from pwcheck.epoly import (
-    NotPrimeError, closed_e, make_params, mirror_difference, require_prime, variant_betti)
+    ModuliParams, NotPrimeError, closed_e, mirror_difference, require_prime, variant_betti)
 from pwcheck.hookchar import (
     IdentityFailureError,
     SpecialType,
-    count_multiplier,
     evar_closed_route,
     evar_from_types,
     evar_type_route,
@@ -43,12 +42,6 @@ def test_hooks_require_prime_rank():
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda: special_hook(SpecialType.SPLIT, 5.0), NotPrimeError, id="hook-float-n"),
     pytest.param(lambda: require_prime(5.0), NotPrimeError, id="require-prime-float"),
-    pytest.param(lambda: count_multiplier(SpecialType.SPLIT, 4, 2), NotPrimeError,
-                 id="count-composite-n"),
-    pytest.param(lambda: count_multiplier(SpecialType.SPLIT, True, 2), NotPrimeError,
-                 id="count-bool-n"),
-    pytest.param(lambda: count_multiplier(SpecialType.SPLIT, 3, 1.5), ValueError,
-                 id="count-float-g"),
     pytest.param(lambda: type_contribution(special_hook(SpecialType.SPLIT, 3), 1), ValueError,
                  id="contribution-genus-one"),
 ])
@@ -75,48 +68,30 @@ def test_type_contribution_rank_two():
     assert dict(nonsplit.terms()) == {2: Fraction(1), 3: Fraction(2), 4: Fraction(1)}
 
 
-def test_count_multipliers():
-    split = count_multiplier(SpecialType.SPLIT, 2, 2)
-    nonsplit = count_multiplier(SpecialType.NONSPLIT, 2, 2)
-    assert split == Fraction(-1, 2) + 8
-    assert nonsplit == Fraction(1, 2) - 8
-    # the two multipliers are exact negatives of each other
-    assert split == -nonsplit
-
-
-@pytest.mark.parametrize("n,g", [(2, 2), (3, 2), (5, 3), (7, 2), (13, 4)])
-def test_count_multiplier_keeps_its_value_and_type(n, g):
-    for kind, unit_sign, power_sign in [(SpecialType.SPLIT, -1, 1),
-                                        (SpecialType.NONSPLIT, 1, -1)]:
-        got = count_multiplier(kind, n, g)
-        assert got == Fraction(unit_sign, n) + power_sign * n ** (2 * g - 1)
-        assert type(got) is Fraction
-
-
 @pytest.mark.parametrize("n,g", [(2, 2), (3, 3), (5, 2), (7, 2), (13, 4)])
 def test_every_route_runs_on_ints(n, g):
     # Every coefficient is a signed Betti number or dimension, and each
     # route divides by n only at the end, exactly.
-    params = make_params(n, g)
+    params = ModuliParams(n, g)
     for poly in (closed_e(params), evar_type_route(params), mirror_difference(params)):
         assert poly and all(type(c) is int for _, c in poly.terms())
 
 
 @pytest.mark.parametrize("n,g", GRID)
 def test_both_routes_agree(n, g):
-    params = make_params(n, g)
+    params = ModuliParams(n, g)
     assert evar_type_route(params) == evar_closed_route(params)
 
 
 def test_evar_small_values():
-    assert dict(evar_from_types(make_params(2, 2)).terms()) == {3: Fraction(-30)}
-    assert dict(evar_from_types(make_params(3, 2)).terms()) == {
+    assert dict(evar_from_types(ModuliParams(2, 2)).terms()) == {3: Fraction(-30)}
+    assert dict(evar_from_types(ModuliParams(3, 2)).terms()) == {
         7: Fraction(-160), 8: Fraction(80), 9: Fraction(-160)}
 
 
 @pytest.mark.parametrize("n,g", GRID)
 def test_evar_shift_reproduces_closed_e(n, g):
-    params = make_params(n, g)
+    params = ModuliParams(n, g)
     shift = (n * n + n - 2) * (g - 1)
     lifted = evar_from_types(params) * LaurentPoly({shift: 1})
     assert lifted == closed_e(params)
@@ -125,7 +100,7 @@ def test_evar_shift_reproduces_closed_e(n, g):
 @pytest.mark.parametrize("n,g", [(2, 2), (3, 2), (2, 3), (5, 2)])
 def test_evar_expands_in_betti_numbers(n, g):
     # sum over degrees d of (-1)^d b_d q^(2m + c - d)
-    params = make_params(n, g)
+    params = ModuliParams(n, g)
     total = LaurentPoly.zero()
     center = 2 * params.half_dim + params.curious_shift
     for d, v in variant_betti(params).items():
@@ -140,4 +115,4 @@ def test_identity_failure_is_detected(monkeypatch):
     monkeypatch.setattr(hookchar, "evar_closed_route",
                         lambda params: LaurentPoly.zero())
     with pytest.raises(IdentityFailureError):
-        hookchar.evar_from_types(make_params(2, 2))
+        hookchar.evar_from_types(ModuliParams(2, 2))

@@ -67,6 +67,24 @@ def test_a_proper_fraction_stays_a_fraction():
     assert type(_exact_quotient(4, 2)) is int and _exact_quotient(4, 2) == 2
 
 
+@pytest.mark.parametrize("cls, a, b", [(LaurentPoly, 1, -2), (BiLaurentPoly, (1, 0), (0, -2))])
+def test_divide_coefficients_is_exact(cls, a, b):
+    # The one division by n of every route: an int where it divides, a
+    # Fraction where it does not, the sign kept, and the caller's class.
+    got = cls({a: -6, b: -7})._divide_coefficients(3)
+    assert type(got) is cls and got == cls({a: -2, b: Fraction(-7, 3)})
+    coefficient = dict(got.terms())
+    assert type(coefficient[a]) is int and coefficient[a] == -2
+    assert type(coefficient[b]) is Fraction and coefficient[b] == Fraction(-7, 3)
+
+
+@given(polys, bipolys, st.integers(1, 12))
+def test_divide_coefficients_undoes_a_scaling(p, q, n):
+    assert (p * n)._divide_coefficients(n) == p
+    assert (q * n)._divide_coefficients(n) == q
+    assert p._divide_coefficients(n) * n == p
+
+
 def test_zero_coefficients_dropped():
     assert LaurentPoly({2: 0, 4: 1}) == LaurentPoly({4: 1})
     assert len(dict(LaurentPoly({2: 0}).terms())) == 0

@@ -10,7 +10,7 @@ import pytest
 import pwcheck.epoly as epoly
 import pwcheck.hitchin as hitchin
 import pwcheck.hookchar as hookchar
-from pwcheck.epoly import make_params
+from pwcheck.epoly import ModuliParams
 
 POINTS = [(2, 2), (3, 2), (5, 3), (7, 2)]
 
@@ -38,7 +38,7 @@ def _forbidden(name):
 @pytest.mark.parametrize("n,g", POINTS)
 @pytest.mark.parametrize("route,others", ROUTES)
 def test_route_never_calls_the_other_route(monkeypatch, route, others, n, g):
-    params = make_params(n, g)
+    params = ModuliParams(n, g)
     expected = route(params)
     for module, name in others:
         monkeypatch.setattr(module, name, _forbidden(f"{module.__name__}.{name}"))
