@@ -1,12 +1,15 @@
 """The immutable-value core every pwcheck value class builds on.
 
 Stdlib only, and nothing from the package: both ``laurent`` and
-``filtration`` build on it.  ``json`` is imported where it is used, so
-that a text or CSV call never loads it.  It also holds the one integer
-rule: an integer input is an exact ``int``, never a bool or a subclass.
+``filtration`` build on it, through one checking constructor and one
+trusted ``_of``.  ``json`` is imported where it is used, so that a text
+or CSV call never loads it.  It also holds the one integer rule: an
+integer input is an exact ``int``, never a bool or a subclass.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 
 def require_int(value: object, low: int, message: str) -> None:
@@ -52,17 +55,42 @@ class Frozen:
 
 class SparseMap(Frozen):
     """An immutable dict ``_c`` of nonzero entries, hashed and printed in
-    key order.  A subclass builds ``_c`` and reads its wire form in
+    key order.  The constructor checks each entry of outside input with
+    the subclass's ``_key`` and ``_value(key, value)``; ``_of`` wraps a
+    dict built from checked entries.  A subclass reads its wire form in
     ``from_json_obj``.
     """
 
     __slots__ = ("_c",)
+
+    def __init__(self, entries: Mapping | None = None):
+        data: dict = {}
+        for key, value in (entries or {}).items():
+            normal = self._key(key)
+            value = self._value(key, value)
+            if value:
+                if normal in data:  # two keys, such as 2 and "2", for one entry
+                    raise ValueError(f"key {key!r} repeats the key {normal!r}")
+                data[normal] = value
+        object.__setattr__(self, "_c", data)
+
+    @classmethod
+    def _of(cls, data: dict) -> SparseMap:
+        """The map over data, which the caller has checked: normal keys, nonzero values."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_c", data)
+        return self
 
     def _args(self) -> tuple:
         return (self._c,)
 
     def __bool__(self) -> bool:
         return bool(self._c)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            return self._c == other._c
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._c.items())))

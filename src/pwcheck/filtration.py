@@ -14,7 +14,7 @@ from __future__ import annotations
 import collections
 import enum
 import itertools
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 
 from ._frozen import Frozen, SparseMap, is_int_pair, require_int
 
@@ -34,32 +34,17 @@ class Criterion(enum.Enum):
 class _Graded(SparseMap):
     """Immutable map from keys to positive ints; absent keys read 0.
 
-    The code FiltrationTable and CohomologyProfile share.  A subclass
-    sets ``_key``, which checks and normalises a key, and ``_BAD_VALUE``,
-    the error for a value that is not a nonnegative int (``{}`` is the key).
+    The code FiltrationTable and CohomologyProfile share.  A subclass sets
+    ``_key``, which checks and normalises a key, and ``_BAD_VALUE``, which
+    ``_value`` raises, with ``{}`` for the key, unless a value is an int >= 0.
     """
 
     __slots__ = ()
 
-    def __init__(self, cells: Mapping | None = None):
-        data: dict = {}
-        key_of = self._key
-        for key, value in (cells or {}).items():
-            normal = key_of(key)
-            if type(value) is not int or value < 0:
-                raise ValueError(self._BAD_VALUE.format(key))
-            if value:
-                if normal in data:  # two keys, such as 2 and "2", for one entry
-                    raise ValueError(f"key {key!r} repeats the key {normal!r}")
-                data[normal] = value
-        object.__setattr__(self, "_c", data)
-
-    @classmethod
-    def _of(cls, data: dict) -> _Graded:
-        """The map over data, which the caller has checked: normal keys, positive ints."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "_c", data)
-        return self
+    def _value(self, key: object, value: object) -> int:
+        if type(value) is not int or value < 0:
+            raise ValueError(self._BAD_VALUE.format(key))
+        return value
 
     def items(self) -> Iterator[tuple[object, int]]:
         for key in sorted(self._c):
@@ -67,13 +52,6 @@ class _Graded(SparseMap):
 
     def __len__(self) -> int:
         return len(self._c)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, type(self)):
-            return self._c == other._c
-        return NotImplemented
-
-    __hash__ = SparseMap.__hash__  # defining __eq__ unset the inherited one
 
     def total(self) -> int:
         return sum(self._c.values())
@@ -131,7 +109,7 @@ class FiltrationTable(_Graded):
     __slots__ = ()
     _BAD_VALUE = "value at {} must be a nonnegative int"
     # Own binding, not inherited: perfbench/tracer.py patches vars(cls).
-    __init__ = _Graded.__init__
+    __init__ = SparseMap.__init__
 
     @staticmethod
     def _key(key: tuple[int, int]) -> tuple[int, int]:
@@ -307,14 +285,17 @@ def count_search_tables(i_max: int, j_max: int, v_max: int, m_range: Iterable[in
     """Number of tables `falsification_search` enumerates on this grid.
 
     Validates the arguments as the search does (each bound an int >= 0,
-    each m >= 1 and each k >= 0 an int, both ranges nonempty) and raises
-    BudgetExceededError if tables x |m_range| x |k_range| exceeds the
-    budget.  The count stops growing once it is over, so no cell list
-    and no number much larger than the budget is built.
+    each m >= 1 and each k >= 0 an int, both ranges nonempty, the budget
+    an int) and raises BudgetExceededError if tables x |m_range| x
+    |k_range| exceeds the budget.  The count stops growing once it is
+    over, so no cell list and no number much larger than the budget is
+    built.
     """
     for bound in (i_max, j_max, v_max):
         if type(bound) is not int:
             raise ValueError(f"grid bound {bound!r} must be an int")
+    if type(budget) is not int:
+        raise ValueError(f"budget {budget!r} must be an int")
     if i_max < 0 or j_max < 0 or v_max < 0:
         raise ValueError("grid bounds must be nonnegative")
     ms, ks = set(m_range), set(k_range)

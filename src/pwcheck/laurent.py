@@ -17,7 +17,7 @@ q - 2 + q^-1
 from __future__ import annotations
 
 import numbers
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 
 from ._frozen import SparseMap, is_int_pair, require_int
 
@@ -47,6 +47,11 @@ def _exact_quotient(x: numbers.Rational, y: numbers.Rational) -> numbers.Rationa
         return x // y
     from fractions import Fraction
     return _coerce(Fraction(x) / y)
+
+
+def _normal(data: dict) -> dict:
+    """data without its zero coefficients, an integral Fraction as its int."""
+    return {k: c if type(c) is int else _coerce(c) for k, c in data.items() if c}
 
 
 def _from_twice(key: object) -> int:
@@ -84,34 +89,22 @@ class _SparsePoly(SparseMap):
 
     The code of LaurentPoly and BiLaurentPoly that does not depend on the
     number of variables.  A subclass sets ``_key``, which checks a key and
-    returns it or raises ValueError, ``_UNIT``, the key of the constant
-    term, and ``_PLAIN_KEY``, the type of a key that needs no check.
+    returns it or raises ValueError, and ``_UNIT``, the key of the constant
+    term.  Arithmetic builds its results through ``_of``, unchecked.
     """
 
     __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[object, str | numbers.Rational] | None = None):
-        data: dict[object, numbers.Rational] = {}
-        if coeffs:
-            key, plain = self._key, self._PLAIN_KEY
-            for k, c in coeffs.items():
-                # An exact int, the usual key of LaurentPoly and the usual
-                # coefficient, is stored as is, without a per-term call.
-                if type(k) is not plain:
-                    k = key(k)
-                if type(c) is not int:
-                    c = _coerce(c)
-                if c:
-                    data[k] = c
-        object.__setattr__(self, "_c", data)
+    def _value(self, key: object, value: str | numbers.Rational) -> numbers.Rational:
+        return _coerce(value)
 
     @classmethod
     def zero(cls) -> _SparsePoly:
-        return cls()
+        return cls._of({})
 
     @classmethod
     def one(cls) -> _SparsePoly:
-        return cls({cls._UNIT: 1})
+        return cls._of({cls._UNIT: 1})
 
     def terms(self) -> Iterator[tuple[object, numbers.Rational]]:
         """(key, coefficient) pairs in increasing key order."""
@@ -120,7 +113,7 @@ class _SparsePoly(SparseMap):
 
     def _divide_coefficients(self, n: int) -> _SparsePoly:
         """This polynomial with every coefficient divided by n, exactly."""
-        return type(self)({k: _exact_quotient(c, n) for k, c in self._c.items()})
+        return self._of({k: _exact_quotient(c, n) for k, c in self._c.items()})
 
     def _as_poly(self, other: object) -> _SparsePoly | None:
         """other as this class, a rational scalar as a constant, else None."""
@@ -144,7 +137,7 @@ class _SparsePoly(SparseMap):
         return SparseMap.__hash__(self)
 
     def __neg__(self) -> _SparsePoly:
-        return type(self)({k: -c for k, c in self._c.items()})
+        return self._of({k: -c for k, c in self._c.items()})
 
     def __sub__(self, other: object) -> _SparsePoly:
         rhs = self._as_poly(other)
@@ -189,13 +182,13 @@ class LaurentPoly(_SparsePoly):
 
     __slots__ = ()
     _UNIT = 0
-    _PLAIN_KEY = int
 
     @staticmethod
     def _key(key: int) -> int:
-        # Reached only by a key that is not an exact int: a bool, a float
-        # or a str is refused, never rounded or parsed.
-        raise ValueError(f"exponent key {key!r} must be an int")
+        # A bool, a float or a str is refused, never rounded or parsed.
+        if type(key) is not int:
+            raise ValueError(f"exponent key {key!r} must be an int")
+        return key
 
     # -- inspection --------------------------------------------------
 
@@ -218,7 +211,7 @@ class LaurentPoly(_SparsePoly):
         data = dict(self._c)
         for t, c in rhs._c.items():
             data[t] = data.get(t, 0) + c
-        return LaurentPoly(data)
+        return LaurentPoly._of(_normal(data))
 
     __radd__ = __add__
 
@@ -231,7 +224,7 @@ class LaurentPoly(_SparsePoly):
             for tb, cb in rhs._c.items():
                 t = ta + tb
                 data[t] = data.get(t, 0) + ca * cb
-        return LaurentPoly(data)
+        return LaurentPoly._of(_normal(data))
 
     __rmul__ = __mul__
 
@@ -268,13 +261,15 @@ class LaurentPoly(_SparsePoly):
                         a[i + j] -= c * bj
         if any(a):
             raise InexactDivisionError("divisor does not divide exactly")
-        return LaurentPoly(quot)
+        return LaurentPoly._of(quot)
 
     # -- substitutions ------------------------------------------------
 
     def reverse(self, weight: int) -> "LaurentPoly":
         """q**weight * p(1/q) for an integer weight."""
-        return LaurentPoly({weight - t: c for t, c in self._c.items()})
+        if type(weight) is not int:
+            raise ValueError(f"weight {weight!r} must be an int")
+        return LaurentPoly._of({weight - t: c for t, c in self._c.items()})
 
     def is_palindromic(self, weight: int) -> bool:
         """True when p(q) == q**weight * p(1/q).
@@ -322,7 +317,6 @@ class BiLaurentPoly(_SparsePoly):
 
     __slots__ = ()
     _UNIT = (0, 0)
-    _PLAIN_KEY = None  # every key is checked
 
     @staticmethod
     def _key(key: tuple[int, int]) -> tuple[int, int]:
@@ -347,7 +341,7 @@ class BiLaurentPoly(_SparsePoly):
         data = dict(self._c)
         for k, c in rhs._c.items():
             data[k] = data.get(k, 0) + c
-        return BiLaurentPoly(data)
+        return BiLaurentPoly._of(_normal(data))
 
     __radd__ = __add__
 
@@ -360,7 +354,7 @@ class BiLaurentPoly(_SparsePoly):
             for (bu, bv), cb in rhs._c.items():
                 k = (au + bu, av + bv)
                 data[k] = data.get(k, 0) + ca * cb
-        return BiLaurentPoly(data)
+        return BiLaurentPoly._of(_normal(data))
 
     __rmul__ = __mul__
 
@@ -369,7 +363,7 @@ class BiLaurentPoly(_SparsePoly):
 
     def swap(self) -> "BiLaurentPoly":
         """Exchange the two variables."""
-        return BiLaurentPoly({(b, a): c for (a, b), c in self._c.items()})
+        return BiLaurentPoly._of({(b, a): c for (a, b), c in self._c.items()})
 
     def diagonal(self) -> LaurentPoly:
         """Substitute u = v = q.
@@ -381,7 +375,7 @@ class BiLaurentPoly(_SparsePoly):
         for (a, b), c in self._c.items():
             t = a + b
             data[t] = data.get(t, 0) + c
-        return LaurentPoly(data)
+        return LaurentPoly._of(_normal(data))
 
     def to_json_obj(self) -> list[list]:
         return [[2 * a, 2 * b, str(c)] for (a, b), c in sorted(self._c.items())]

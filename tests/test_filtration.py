@@ -376,6 +376,26 @@ def test_search_bounds_must_be_ints(bounds):
         falsification_search(Criterion.FIRST, *bounds, [1], [0])
 
 
+@pytest.mark.parametrize("budget", [True, False, Small.ONE, 2.5e6, 1e7, "100"],
+                         ids=["True", "False", "IntEnum", "2.5e6", "1e7", "str"])
+def test_search_budget_must_be_an_int(budget):
+    # Refused before any counting, as a plain ValueError that names it:
+    # True is not read as a budget of 1, nor 2.5e6 as one of 2,500,000.
+    for search in (count_search_tables, functools.partial(falsification_search, Criterion.FIRST)):
+        with pytest.raises(ValueError) as info:
+            search(1, 1, 1, [1], [0], budget=budget)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"budget {budget!r} must be an int"
+
+
+def test_search_budget_keeps_its_meaning_for_an_int():
+    assert count_search_tables(1, 1, 1, [1], [0], budget=16) == 16
+    for budget in (15, 0, -1):
+        with pytest.raises(BudgetExceededError, match=f"budget of {budget}$"):
+            count_search_tables(1, 1, 1, [1], [0], budget=budget)
+    assert falsification_search(Criterion.FIRST, 1, 1, 1, [1], [0], budget=16) == []
+
+
 @pytest.mark.parametrize("criterion", list(Criterion))
 def test_search_checks_only_the_tables_it_returns(monkeypatch, criterion):
     # the enumerated cells come from checked bounds; only a hit goes

@@ -1,4 +1,6 @@
 import doctest
+import enum
+import re
 from fractions import Fraction
 
 import pytest
@@ -137,6 +139,22 @@ def test_palindromic_means_equal_to_reverse(p, w):
     sym = p + p.reverse(w)
     assert sym.is_palindromic(w)
     assert p.is_palindromic(w) == (p == p.reverse(w))
+
+
+class Weight(enum.IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("weight", [True, Weight.TWO, 2.0, "2"],
+                         ids=["bool", "IntEnum", "float", "str"])
+def test_reverse_and_palindromy_take_only_an_int_weight(weight):
+    # A bool or an int subclass is no exact int: it is refused, not read
+    # as its value, and a float is refused by name, not as a bad key.
+    message = f"^weight {re.escape(repr(weight))} must be an int$"
+    for p in (LaurentPoly({0: 1, 1: 5, 2: 1}), LaurentPoly.zero()):
+        for method in (p.reverse, p.is_palindromic):
+            with pytest.raises(ValueError, match=message):
+                method(weight)
 
 
 @given(polys, polys)
@@ -287,3 +305,31 @@ def test_integral_fractions_build_the_same_poly(uni, bi):
         from_fractions = cls({k: Fraction(v) for k, v in values.items()})
         assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
         assert repr(from_ints) == repr(from_fractions)
+
+
+def _refuse(*args):
+    raise AssertionError("an arithmetic result went through a check")
+
+
+def test_arithmetic_results_are_never_checked_again(monkeypatch):
+    # Every result is built from keys and coefficients already checked,
+    # through the trusted constructor, so neither rule runs on it.
+    a = LaurentPoly({2: 3, 0: Fraction(1, 2), -1: -1})
+    b = LaurentPoly({1: 1, 0: Fraction(-1, 2)})
+    u = BiLaurentPoly({(1, 0): 2, (0, 1): Fraction(-1, 3), (0, 0): 1})
+    v = BiLaurentPoly({(1, 1): 1, (0, 0): Fraction(1, 3)})
+
+    def results():
+        return [a + b, a - b, a * b, a ** 3, -a, a._divide_coefficients(3),
+                (a * b).divide_exact(b), a.reverse(2), LaurentPoly.zero(), LaurentPoly.one(),
+                u + v, u - v, u * v, u ** 3, -u, u._divide_coefficients(3), u.swap(),
+                u.diagonal(), (u * v).diagonal(), BiLaurentPoly.zero(), BiLaurentPoly.one()]
+
+    expected = results()
+    for cls in (LaurentPoly, BiLaurentPoly):
+        monkeypatch.setattr(cls, "_key", staticmethod(_refuse))
+        monkeypatch.setattr(cls, "_value", staticmethod(_refuse))
+    got = results()
+    assert got == expected
+    assert [repr(p) for p in got] == [repr(p) for p in expected]
+    _assert_exact(*got)
