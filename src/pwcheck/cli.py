@@ -18,7 +18,7 @@ import sys
 
 from ._frozen import compact_json
 from .epoly import (
-    ModuliParams, closed_e, euler_variant, mirror_difference, require_prime, variant_betti)
+    ModuliParams, closed_e, euler_variant, mirror_difference, variant_betti)
 from .filtration import DEFAULT_BUDGET, Criterion, count_search_tables, falsification_search
 from .hitchin import endoscopic_bound, verify_pw
 from .hookchar import evar_from_types
@@ -126,7 +126,6 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, object]:
     params = _params(args)
-    require_prime(params.n)
     checks = _verify_checks(params)
     failed = [name for name, ok, _ in checks if not ok]
     code = 0 if not failed else 1

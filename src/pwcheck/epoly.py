@@ -43,14 +43,16 @@ def require_prime(n: int) -> None:
 class ModuliParams(_Record):
     """Rank, genus and twisting degree, with the derived numerology.
 
-    The degree d only has to be coprime to n; results are independent
-    of its actual value.
+    A composite rank raises NotPrimeError here, so no formula re-checks
+    it.  The degree d only has to be coprime to n; results are
+    independent of its actual value.
     """
 
     __slots__ = ("n", "g", "d")
 
     def __init__(self, n: int, g: int, d: int = 1):
         require_int(n, 2, "rank n must be an integer >= 2")
+        require_prime(n)
         require_int(g, 2, "genus g must be an integer >= 2")
         if type(d) is not int or math.gcd(n, d) != 1:
             raise ValueError("degree d must be an integer coprime to n")
@@ -84,7 +86,7 @@ def variant_bracket(n: int, g: int) -> LaurentPoly:
 
 
 # The last (n, g) and its closed E-polynomial, shared (LaurentPoly is
-# immutable) by the ten calls of one verify; no other route reads it.
+# immutable) by the nine calls of one verify; no other route reads it.
 _CLOSED_MEMO: dict[tuple[int, int], LaurentPoly] = {}
 
 
@@ -95,7 +97,6 @@ def closed_e(params: ModuliParams) -> LaurentPoly:
     on ints: the 1/n comes last, as an exact division of each coefficient.
     """
     n, g = params.n, params.g
-    require_prime(n)
     if (n, g) not in _CLOSED_MEMO:
         product = LaurentPoly({params.dim: n ** (2 * g) - 1}) * variant_bracket(n, g)
         _CLOSED_MEMO.clear()
@@ -111,7 +112,6 @@ def mirror_difference(params: ModuliParams) -> BiLaurentPoly:
     with S(x) = 1 + x + ... + x^{n-1}.
     """
     n, g = params.n, params.g
-    require_prime(n)
     u_minus_1 = BiLaurentPoly({(1, 0): 1, (0, 0): -1})
     v_minus_1 = BiLaurentPoly({(0, 1): 1, (0, 0): -1})
     s_u = BiLaurentPoly({(e, 0): 1 for e in range(n)})
@@ -198,7 +198,6 @@ def euler_variant(params: ModuliParams) -> int:
     cross-checked against the E-polynomial at q = 1.
     """
     n, g = params.n, params.g
-    require_prime(n)
     closed_form = -(n ** (2 * g) - 1) * n ** (2 * g - 3)
     from_e = sum(c for _, c in closed_e(params).terms())  # E(1)
     if from_e != closed_form:

@@ -339,9 +339,9 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
     other (m, k) pairs reuse the verdict.  Results come in table order,
     then m, then k.
     """
-    ms = sorted(set(m_range))
-    ks = sorted(set(k_range))
+    ms, ks = set(m_range), set(k_range)  # each range is read once
     count_search_tables(i_max, j_max, v_max, ms, ks, budget)
+    ms, ks = sorted(ms), sorted(ks)  # after count_search_tables checked each
 
     cells = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)]
     conditions = _CONDITIONS[which]

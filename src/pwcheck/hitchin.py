@@ -24,7 +24,7 @@ from .filtration import (
     check_first_criterion,
     check_second_criterion,
 )
-from .hookchar import evar_from_types
+from .hookchar import evar_type_route
 
 
 def endoscopic_bound(n: int, g: int) -> int:
@@ -55,13 +55,14 @@ def perverse_table(params: ModuliParams) -> FiltrationTable:
 
 
 def weight_table(params: ModuliParams) -> FiltrationTable:
-    """Table of weight-graded dimensions, from the character-sum route.
+    """Table of weight-graded dimensions, from evar_type_route alone.
 
-    The coefficient of q^e in the variant E-polynomial is the signed
-    dimension of the weight-2(2m - e) piece, sitting in degree
+    It never reads closed_e, so a route disagreement shows as unequal
+    tables.  The coefficient of q^e in the variant E-polynomial is the
+    signed dimension of the weight-2(2m - e) piece, sitting in degree
     2m + c - e; the jump of W_{2i} is stored at level i = 2m - e.
     """
-    evar = evar_from_types(params)
+    evar = evar_type_route(params)
     m, c = params.half_dim, params.curious_shift
     cells: dict[tuple[int, int], int] = {}
     for e, coeff in evar.terms():

@@ -59,10 +59,10 @@ def type_contribution(hook: LaurentPoly, g: int) -> LaurentPoly:
 def evar_type_route(params: ModuliParams) -> LaurentPoly:
     """Variant E-polynomial summed over the two special families, on ints:
     the counts' 1/n comes last, as an exact division of each coefficient.
-    Never reads closed_e: it is the independent side of evar_from_types.
+    Never reads closed_e: it is the independent side of evar_from_types
+    and of weight_table.
     """
     n, g = params.n, params.g
-    require_prime(n)
     total = LaurentPoly.zero()
     for kind in SpecialType:
         hook = special_hook(kind, n)

@@ -138,6 +138,13 @@ def test_composite_rank_exit(capsys):
     assert "not prime" in err
 
 
+def test_composite_rank_is_refused_before_the_params_line(capsys):
+    code, out, err = run(capsys, "epoly", "--n", "4", "--g", "2", "--verbose")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rank 4 is not prime\n"
+
+
 def test_verify_rejects_composite_rank_before_any_check(capsys):
     code, out, err = run(capsys, "verify", "--n", "4", "--g", "2")
     assert code == 2

@@ -157,7 +157,17 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModuliParams(3, 2, 6)   # gcd(3, 6) != 1
     ModuliParams(3, 2, 5)       # coprime degree is fine
-    ModuliParams(4, 2)          # composite rank allowed at the params level
+    with pytest.raises(NotPrimeError, match="^rank 4 is not prime$"):
+        ModuliParams(4, 2)
+
+
+@pytest.mark.parametrize("n", [1, True, 5.0, enum.IntEnum("Rank", {"FIVE": 5}).FIVE],
+                         ids=["one", "True", "float", "IntEnum"])
+def test_params_refuse_a_non_rank_before_primality(n):
+    with pytest.raises(ValueError) as info:
+        ModuliParams(n, 2)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "rank n must be an integer >= 2"
 
 
 def test_composite_rank_rejected_by_formulas():

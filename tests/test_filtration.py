@@ -367,6 +367,24 @@ def test_search_argument_validation():
         falsification_search(Criterion.FIRST, 1, 1, 1, [0], [0])
 
 
+@pytest.mark.parametrize("m_range, k_range, message", [
+    ([1, "a"], [0], "m must be an integer >= 1"),
+    ([1], [0, "a"], "k must be an integer >= 0"),
+], ids=["bad-m", "bad-k"])
+def test_search_checks_mixed_ranges_before_sorting_them(m_range, k_range, message):
+    # A str among ints is refused as count_search_tables refuses it, not
+    # by a TypeError from sorting the range first.
+    for search in (count_search_tables, functools.partial(falsification_search, Criterion.FIRST)):
+        with pytest.raises(ValueError) as info:
+            search(1, 1, 1, m_range, k_range)
+        assert str(info.value) == message
+
+
+def test_search_reads_each_range_once():
+    ms, ks = (m for m in [1]), (k for k in [0])
+    assert falsification_search(Criterion.FIRST, 1, 1, 1, ms, ks) == []
+
+
 @pytest.mark.parametrize("bounds", [(1.5, 1, 1), (1, 1.0, 1), (1, 1, 1.0), (True, 1, 1),
                                     (1, 1, False), ("1", 1, 1), (Small.ONE, 1, 1)])
 def test_search_bounds_must_be_ints(bounds):

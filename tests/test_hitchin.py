@@ -70,6 +70,24 @@ def test_verify_pw_reports_a_lopsided_profile(monkeypatch):
     assert not report.perverse_check.passed
 
 
+def test_verify_pw_reports_a_weight_side_disagreement(monkeypatch, capsys):
+    import pwcheck.hitchin as hitchin
+    from pwcheck.cli import main
+    from pwcheck.laurent import LaurentPoly
+
+    # the character sum disagrees with the closed formula at (2,2): the
+    # tables differ, and the verdict says so instead of raising
+    fake = LaurentPoly({3: -30, 2: 1})
+    monkeypatch.setattr(hitchin, "evar_type_route", lambda params: fake)
+    report = hitchin.verify_pw(ModuliParams(2, 2))
+    assert not report.tables_equal
+    assert not report.holds
+    assert not report.weight_check.passed
+    assert main(["pw", "--n", "2", "--g", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("P=W FAILS for n=2 g=2 d=1\n  tables equal: False\n")
+
+
 def test_perverse_table_rejects_low_degrees(monkeypatch):
     import pwcheck.hitchin as hitchin
 
