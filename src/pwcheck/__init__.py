@@ -2,6 +2,7 @@
 
 import types  # already loaded by enum
 
+from ._frozen import DomainError, VerificationError
 from .epoly import (
     CohomologyProfile,
     InconsistentFormulaError,

@@ -4,7 +4,9 @@ Stdlib only, and nothing from the package: both ``laurent`` and
 ``filtration`` build on it, through one checking constructor and one
 trusted ``_of``.  ``json`` is imported where it is used, so that a text
 or CSV call never loads it.  It also holds the one integer rule: an
-integer input is an exact ``int``, never a bool or a subclass.
+integer input is an exact ``int``, never a bool or a subclass; and the
+two roots under which the package raises an input it refuses and a
+check it saw fail.
 """
 
 from __future__ import annotations
@@ -12,10 +14,18 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 
+class DomainError(ValueError):
+    """An input outside the domain of the formulas or of the search."""
+
+
+class VerificationError(ArithmeticError):
+    """Two routes to one quantity disagreed: a check failed."""
+
+
 def require_int(value: object, low: int, message: str) -> None:
-    """Raise ValueError(message) unless value is an exact int >= low."""
+    """Raise DomainError(message) unless value is an exact int >= low."""
     if type(value) is not int or value < low:
-        raise ValueError(message)
+        raise DomainError(message)
 
 
 def is_int_pair(key: object) -> bool:

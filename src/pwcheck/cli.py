@@ -1,22 +1,25 @@
-"""Command line front end.
-
-Verbs:
-  epoly    closed E-polynomial of the variant cohomology
-  betti    variant Betti numbers
-  pw       perverse/weight tables and their comparison
-  verify   run every identity check for one parameter choice
-  ksearch  exhaustive counterexample search for the criteria
+"""Command line front end: the verbs epoly, betti, pw, verify and
+ksearch, whose help texts and options are in the _VERBS table.
 
 Exit codes: 0 all good, 1 a verification failed or a counterexample
-was found, 2 usage or domain error or an unwritable --out.
+was found, 2 usage or domain error or an unwritable --out, 3 an internal
+error: any exception that is neither a DomainError nor a
+VerificationError is a bug, reported on stderr as
+"internal error: <Type>: <message>".
+
+A plain command line (the verb, then exact long flags, each once, with
+values that do not start with "-") is read without importing argparse,
+which with its parser costs a fresh interpreter several ms; every other
+form, help included, goes to the argparse parser, which gives the same
+namespace.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
-from ._frozen import compact_json
+from ._frozen import DomainError, VerificationError, compact_json
 from .epoly import (
     ModuliParams, closed_e, euler_variant, mirror_difference, variant_betti)
 from .filtration import DEFAULT_BUDGET, Criterion, count_search_tables, falsification_search
@@ -28,7 +31,7 @@ from .laurent import LaurentPoly
 # for json, the text otherwise. Only main renders and writes it.
 
 
-def _params(args: argparse.Namespace) -> ModuliParams:
+def _params(args: SimpleNamespace) -> ModuliParams:
     params = ModuliParams(args.n, args.g, args.d)
     if args.verbose:
         print(
@@ -38,7 +41,7 @@ def _params(args: argparse.Namespace) -> ModuliParams:
     return params
 
 
-def cmd_epoly(args: argparse.Namespace) -> tuple[int, object]:
+def cmd_epoly(args: SimpleNamespace) -> tuple[int, object]:
     poly = closed_e(_params(args))
     if args.format == "json":
         return 0, poly.to_json_obj()
@@ -48,7 +51,7 @@ def cmd_epoly(args: argparse.Namespace) -> tuple[int, object]:
     return 0, str(poly)
 
 
-def cmd_betti(args: argparse.Namespace) -> tuple[int, object]:
+def cmd_betti(args: SimpleNamespace) -> tuple[int, object]:
     profile = variant_betti(_params(args))
     if args.format == "json":
         return 0, profile.to_json_obj()
@@ -59,7 +62,7 @@ def cmd_betti(args: argparse.Namespace) -> tuple[int, object]:
     return 0, "\n".join(lines)
 
 
-def cmd_pw(args: argparse.Namespace) -> tuple[int, object]:
+def cmd_pw(args: SimpleNamespace) -> tuple[int, object]:
     report = verify_pw(_params(args))
     code = 0 if report.holds else 1
     if args.format == "json":
@@ -124,7 +127,7 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[int, object]:
+def cmd_verify(args: SimpleNamespace) -> tuple[int, object]:
     params = _params(args)
     checks = _verify_checks(params)
     failed = [name for name, ok, _ in checks if not ok]
@@ -150,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, object]:
     return code, "\n".join(lines)
 
 
-def cmd_ksearch(args: argparse.Namespace) -> tuple[int, object]:
+def cmd_ksearch(args: SimpleNamespace) -> tuple[int, object]:
     which = ([Criterion.FIRST, Criterion.SECOND] if args.criterion == "both"
              else [Criterion(args.criterion)])
     m_range = range(args.m_min, args.m_max + 1)
@@ -206,52 +209,125 @@ def cmd_ksearch(args: argparse.Namespace) -> tuple[int, object]:
     return code, "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every verb option, written once: flag -> (kind, default, help).  The
+# kind is int, str, a tuple of choices, or bool for the one switch that
+# takes no value; the default _REQUIRED marks a flag that must be given.
+# build_parser and _parse_direct both read these tables.
+_REQUIRED = object()
+_COMMON = {
+    "--format": (("json", "csv", "text"), "text", "output format"),
+    "--out": (str, None, "write output to a file instead of stdout"),
+    "--verbose": (bool, False, "extra diagnostics on stderr"),
+}
+_MODULI = {
+    **_COMMON,
+    "--n": (int, _REQUIRED, "rank (prime)"),
+    "--g": (int, _REQUIRED, "genus (>= 2)"),
+    "--d": (int, 1, "twisting degree, coprime to n (default 1)"),
+}
+_SEARCH = {
+    **_COMMON,
+    "--criterion": (("first", "second", "both"), "both", None),
+    "--i-max": (int, 3, None),
+    "--j-max": (int, 2, None),
+    "--v-max": (int, 1, None),
+    "--m-min": (int, 1, None),
+    "--m-max": (int, 3, None),
+    "--k-min": (int, 0, None),
+    "--k-max": (int, 2, None),
+    "--budget": (int, DEFAULT_BUDGET, "abort if the case count exceeds this"),
+}
+# verb -> (cmd_* function, help text, options), in --help's order.
+_VERBS = {
+    "epoly": (cmd_epoly, "closed E-polynomial of the variant part", _MODULI),
+    "betti": (cmd_betti, "variant Betti numbers", _MODULI),
+    "pw": (cmd_pw, "perverse/weight tables and their comparison", _MODULI),
+    "verify": (cmd_verify, "run every identity check", _MODULI),
+    "ksearch": (cmd_ksearch, "search small tables for criterion counterexamples",
+                _SEARCH),
+}
+
+
+def _dest(flag: str) -> str:
+    """The attribute a flag sets, named as argparse names it: "--i-max" -> "i_max"."""
+    return flag[2:].replace("-", "_")
+
+
+def build_parser():
+    """The argparse.ArgumentParser for every form of command line.
+
+    It writes every usage, help and error message; argparse is imported
+    only when it is built.
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pwcheck",
         description="exact checks for prime-rank perverse/weight identities")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default="text", help="output format")
-    common.add_argument("--out", help="write output to a file instead of stdout")
-    common.add_argument("--verbose", action="store_true",
-                        help="extra diagnostics on stderr")
-
-    moduli = argparse.ArgumentParser(add_help=False, parents=[common])
-    moduli.add_argument("--n", type=int, required=True, help="rank (prime)")
-    moduli.add_argument("--g", type=int, required=True, help="genus (>= 2)")
-    moduli.add_argument("--d", type=int, default=1,
-                        help="twisting degree, coprime to n (default 1)")
-
-    for name, func, help_text in (
-            ("epoly", cmd_epoly, "closed E-polynomial of the variant part"),
-            ("betti", cmd_betti, "variant Betti numbers"),
-            ("pw", cmd_pw, "perverse/weight tables and their comparison"),
-            ("verify", cmd_verify, "run every identity check")):
-        sub.add_parser(name, parents=[moduli], help=help_text).set_defaults(func=func)
-
-    p = sub.add_parser("ksearch", parents=[common],
-                       help="search small tables for criterion counterexamples")
-    p.add_argument("--criterion", choices=("first", "second", "both"),
-                   default="both")
-    p.add_argument("--i-max", type=int, default=3, dest="i_max")
-    p.add_argument("--j-max", type=int, default=2, dest="j_max")
-    p.add_argument("--v-max", type=int, default=1, dest="v_max")
-    p.add_argument("--m-min", type=int, default=1, dest="m_min")
-    p.add_argument("--m-max", type=int, default=3, dest="m_max")
-    p.add_argument("--k-min", type=int, default=0, dest="k_min")
-    p.add_argument("--k-max", type=int, default=2, dest="k_max")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="abort if the case count exceeds this")
-    p.set_defaults(func=cmd_ksearch)
-
+    for verb, (func, verb_help, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=verb_help)
+        for flag, (kind, default, help_text) in options.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=help_text)
+                continue
+            required = default is _REQUIRED
+            p.add_argument(flag, dest=_dest(flag), required=required,
+                           default=None if required else default,
+                           type=int if kind is int else None,
+                           choices=kind if type(kind) is tuple else None,
+                           help=help_text)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser() gives for a plain command line, else None.
+
+    A plain command line is a verb, then flags each given once and every
+    required one given: an exact flag with a value that does not start
+    with "-" (converted by int, or one of the flag's choices), or the
+    bare --verbose.  Any other form (help, an abbreviation, --n=3, "--",
+    a negative or invalid value, a repeat) is left to argparse.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    func, _, options = _VERBS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in options or flag in given:
+            return None
+        kind = options[flag][0]
+        if kind is bool:
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, (_, default, _) in options.items():
+        value = given.get(flag, default)
+        if value is _REQUIRED:
+            return None
+        setattr(args, _dest(flag), value)
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_direct(argv)
+    if args is None:
+        args = build_parser().parse_args(argv, SimpleNamespace())
     try:
         code, output = args.func(args)
         if args.format == "json":
@@ -267,12 +343,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return code
-    except ValueError as exc:  # BudgetExceededError is a ValueError
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # neither a refused input nor a verdict: a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

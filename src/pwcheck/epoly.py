@@ -12,16 +12,16 @@ import math
 import re
 from collections.abc import Mapping
 
-from ._frozen import require_int
+from ._frozen import DomainError, VerificationError, require_int
 from .filtration import _Graded, _Record
 from .laurent import BiLaurentPoly, LaurentPoly
 
 
-class NotPrimeError(ValueError):
+class NotPrimeError(DomainError):
     """The rank must be prime for these formulas to apply."""
 
 
-class InconsistentFormulaError(ArithmeticError):
+class InconsistentFormulaError(VerificationError):
     """Two routes to the same quantity disagreed; indicates a bug."""
 
 
@@ -55,7 +55,7 @@ class ModuliParams(_Record):
         require_prime(n)
         require_int(g, 2, "genus g must be an integer >= 2")
         if type(d) is not int or math.gcd(n, d) != 1:
-            raise ValueError("degree d must be an integer coprime to n")
+            raise DomainError("degree d must be an integer coprime to n")
         super().__init__(n, g, d)
 
     @property

@@ -16,13 +16,13 @@ import enum
 import itertools
 from collections.abc import Iterable, Iterator
 
-from ._frozen import Frozen, SparseMap, is_int_pair, require_int
+from ._frozen import DomainError, Frozen, SparseMap, is_int_pair, require_int
 
 # The most (table, m, k) cases a search visits unless given a budget.
 DEFAULT_BUDGET = 10 ** 7
 
 
-class BudgetExceededError(ValueError):
+class BudgetExceededError(DomainError):
     """The requested search space is larger than the enumeration budget."""
 
 
@@ -293,18 +293,18 @@ def count_search_tables(i_max: int, j_max: int, v_max: int, m_range: Iterable[in
     """
     for bound in (i_max, j_max, v_max):
         if type(bound) is not int:
-            raise ValueError(f"grid bound {bound!r} must be an int")
+            raise DomainError(f"grid bound {bound!r} must be an int")
     if type(budget) is not int:
-        raise ValueError(f"budget {budget!r} must be an int")
+        raise DomainError(f"budget {budget!r} must be an int")
     if i_max < 0 or j_max < 0 or v_max < 0:
-        raise ValueError("grid bounds must be nonnegative")
+        raise DomainError("grid bounds must be nonnegative")
     ms, ks = set(m_range), set(k_range)
     for m in ms:
         _require_mk(m, 0)
     for k in ks:
         _require_mk(1, k)
     if not ms or not ks:
-        raise ValueError("m_range and k_range must be nonempty")
+        raise DomainError("m_range and k_range must be nonempty")
     cases = len(ms) * len(ks)
     tables, cells = 1, (i_max + 1) * (j_max + 1)
     while v_max and cells and tables * cases <= budget:

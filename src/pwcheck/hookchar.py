@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 
-from ._frozen import require_int
+from ._frozen import VerificationError, require_int
 from .epoly import ModuliParams, closed_e, require_prime
 from .laurent import LaurentPoly
 
 
-class IdentityFailureError(ArithmeticError):
+class IdentityFailureError(VerificationError):
     """The two derivations of the same polynomial disagreed."""
 
 

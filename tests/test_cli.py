@@ -1,12 +1,31 @@
+import contextlib
+import hashlib
+import io
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import pwcheck.cli as cli
+from pwcheck import IdentityFailureError, NotPrimeError
 from pwcheck.cli import main
+from test_golden import GOLDEN
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of main(argv), which may exit through argparse."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -71,8 +90,6 @@ def test_verify_all_pass(capsys):
 
 
 def test_verify_continues_past_failures(capsys, monkeypatch):
-    import pwcheck.cli as cli
-
     def boom(params):
         raise RuntimeError("forced")
 
@@ -162,6 +179,10 @@ def test_usage_error_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["epoly", "--n", "2"])     # --g missing
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pwcheck epoly ")
+    assert captured.err.endswith("error: the following arguments are required: --g\n")
 
 
 @pytest.mark.parametrize("verb", ["epoly", "betti", "pw", "verify", "ksearch"])
@@ -215,3 +236,142 @@ def test_verbose_goes_to_stderr(capsys):
     assert code == 0
     assert "dim=6" in err
     assert "dim=6" not in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("epoly --n 1 --g 2", "rank n must be an integer >= 2"),
+    ("pw --n 3 --g 1", "genus g must be an integer >= 2"),
+    ("verify --n 3 --g 2 --d 3", "degree d must be an integer coprime to n"),
+    ("ksearch --i-max -1", "grid bounds must be nonnegative"),
+    ("ksearch --m-min 0", "m must be an integer >= 1"),
+    ("ksearch --m-min 3 --m-max 2", "m_range and k_range must be nonempty"),
+    ("ksearch --k-min -1", "k must be an integer >= 0"),
+    ("ksearch --budget -1", "search would visit more cases than the budget of -1"),
+])
+def test_a_refused_input_exits_2_with_its_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# One function each verb calls outside verify's per-check guard.
+VERB_CALLS = [("epoly", "closed_e"), ("betti", "variant_betti"), ("pw", "verify_pw"),
+              ("verify", "_verify_checks"), ("ksearch", "falsification_search")]
+
+
+def _argv(verb):
+    return [verb] if verb == "ksearch" else [verb, "--n", "3", "--g", "2"]
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError, ValueError, KeyError, TypeError])
+@pytest.mark.parametrize("verb, name", VERB_CALLS)
+def test_an_internal_error_exits_3(capsys, monkeypatch, verb, name, exc):
+    def boom(*args, **kwargs):
+        raise exc("forced")
+
+    monkeypatch.setattr(cli, name, boom)
+    code, out, err = run(capsys, *_argv(verb))
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {exc.__name__}: {exc('forced')}\n"
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (NotPrimeError, 2, "error: "),
+    (IdentityFailureError, 1, "verification failure: "),
+])
+@pytest.mark.parametrize("verb, name", VERB_CALLS)
+def test_only_the_two_roots_map_to_exits_1_and_2(capsys, monkeypatch, verb, name,
+                                                 exc, code, prefix):
+    def raise_it(*args, **kwargs):
+        raise exc("forced")
+
+    monkeypatch.setattr(cli, name, raise_it)
+    assert run(capsys, *_argv(verb)) == (code, "", f"{prefix}forced\n")
+
+
+@pytest.mark.parametrize("argv, plain", [
+    ("pw --form json --n 3 --g 2", "pw --format json --n 3 --g 2"),
+    ("pw --n=3 --g=2", "pw --n 3 --g 2"),
+])
+def test_a_form_argparse_parses_gives_the_plain_output(capsys, argv, plain):
+    assert cli._parse_direct(argv.split()) is None
+    assert cli._parse_direct(plain.split()) is not None
+    assert run(capsys, *argv.split()) == run(capsys, *plain.split())
+
+
+def test_help_after_the_flags_prints_the_verbs_usage(capsys):
+    code, out, _ = run(capsys, "pw", "--n", "3", "--g", "2", "-h")
+    assert code == 0
+    assert out.startswith("usage: pwcheck pw ")
+    assert (code, out) == run(capsys, "pw", "--help")[:2]
+
+
+def test_the_direct_parser_takes_every_golden_command_line():
+    for argv, _, _ in GOLDEN:
+        assert cli._parse_direct(argv.split()) is not None, argv
+
+
+FLAGS = sorted({flag for _, _, options in cli._VERBS.values() for flag in options})
+# Abbreviations, --flag=value, help, "--" and short flags: argparse's to read.
+ODD = ["--form", "--verb", "--i", "--bud", "--crit", "--n=3", "--format=json",
+       "-h", "--help", "--", "-n"]
+VALUES = ["3", "05", " 7", "-1", "x", "2.5", "json", "csv", "text", "first",
+          "both", "", "2", "1", "1_0"]
+PARSER = cli.build_parser()
+
+
+@st.composite
+def command_lines(draw):
+    """A verb or not, then the verb's own flags, each with a value it
+    takes or any value, and then a few stray tokens put anywhere."""
+    verb = draw(st.sampled_from([*cli._VERBS, "bogus", "-h"]))
+    options = cli._VERBS[verb][2] if verb in cli._VERBS else cli._MODULI
+    names = draw(st.lists(st.sampled_from(sorted(options)), max_size=4, unique=True))
+    if draw(st.booleans()):
+        names += [flag for flag in ("--n", "--g") if flag not in names]
+    tokens = []
+    for name in draw(st.permutations(names)):
+        tokens.append(name)
+        kind = options.get(name, (int,))[0]
+        if kind is not bool:
+            takes = (kind if type(kind) is tuple
+                     else ["3", "05", " 7", "1_0"] if kind is int else ["x", ""])
+            tokens.append(draw(st.sampled_from(takes) | st.sampled_from(takes)
+                               | st.sampled_from(VALUES)))
+    for stray in draw(st.lists(st.sampled_from(FLAGS + ODD + VALUES), max_size=2)):
+        tokens.insert(draw(st.integers(0, len(tokens))), stray)
+    return [verb, *tokens]
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+@example(["pw", "--n", "05", "--g", " 7", "--out", ""])
+@example(["ksearch", "--verbose", "--criterion", "first", "--budget", "1_0"])
+def test_the_direct_parser_agrees_with_argparse(argv):
+    direct = cli._parse_direct(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            expected = PARSER.parse_args(argv)
+    except SystemExit:
+        assert direct is None
+        return
+    if direct is not None:
+        assert vars(direct) == vars(expected)
+
+
+def _module_run(*argv):
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "pwcheck.cli", *argv],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path},
+                          check=False)
+
+
+def test_python_m_reads_its_command_line_from_sys_argv():
+    argv, code, digest = GOLDEN[0]
+    result = _module_run(*argv.split())
+    assert (result.returncode, result.stderr) == (code, b"")
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+    result = _module_run("pw", "--n", "4", "--g", "2")
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == b"error: rank 4 is not prime\n"

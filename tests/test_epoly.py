@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import pwcheck.epoly as epoly
+from pwcheck import DomainError
 from pwcheck.epoly import (
     CohomologyProfile,
     ModuliParams,
@@ -164,9 +165,10 @@ def test_params_validation():
 @pytest.mark.parametrize("n", [1, True, 5.0, enum.IntEnum("Rank", {"FIVE": 5}).FIVE],
                          ids=["one", "True", "float", "IntEnum"])
 def test_params_refuse_a_non_rank_before_primality(n):
+    # a DomainError (a ValueError) of its own, not a NotPrimeError
     with pytest.raises(ValueError) as info:
         ModuliParams(n, 2)
-    assert type(info.value) is ValueError
+    assert type(info.value) is DomainError
     assert str(info.value) == "rank n must be an integer >= 2"
 
 

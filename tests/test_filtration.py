@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pwcheck.filtration as filtration
+from pwcheck import DomainError
 from pwcheck.filtration import (
     BudgetExceededError,
     Criterion,
@@ -397,12 +398,13 @@ def test_search_bounds_must_be_ints(bounds):
 @pytest.mark.parametrize("budget", [True, False, Small.ONE, 2.5e6, 1e7, "100"],
                          ids=["True", "False", "IntEnum", "2.5e6", "1e7", "str"])
 def test_search_budget_must_be_an_int(budget):
-    # Refused before any counting, as a plain ValueError that names it:
+    # Refused before any counting, as a plain DomainError (a ValueError,
+    # not a BudgetExceededError) that names it:
     # True is not read as a budget of 1, nor 2.5e6 as one of 2,500,000.
     for search in (count_search_tables, functools.partial(falsification_search, Criterion.FIRST)):
         with pytest.raises(ValueError) as info:
             search(1, 1, 1, [1], [0], budget=budget)
-        assert type(info.value) is ValueError
+        assert type(info.value) is DomainError
         assert str(info.value) == f"budget {budget!r} must be an int"
 
 
