@@ -17,6 +17,7 @@ namespace.
 from __future__ import annotations
 
 import sys
+import time
 from types import SimpleNamespace
 
 from ._frozen import DomainError, VerificationError, compact_json
@@ -165,9 +166,13 @@ def cmd_ksearch(args: SimpleNamespace) -> tuple[int, object]:
 
     results = {}
     for criterion in which:
-        results[criterion.value] = falsification_search(
+        start = time.perf_counter()
+        results[criterion.value] = hits = falsification_search(
             criterion, args.i_max, args.j_max, args.v_max,
             m_range, k_range, budget=args.budget)
+        if args.verbose:
+            print(f"criterion {criterion.value}: {tables} tables, {len(hits)} hit(s), "
+                  f"{time.perf_counter() - start:.3f} s", file=sys.stderr)
     found = sum(len(v) for v in results.values())
     code = 1 if found else 0
 
@@ -322,12 +327,28 @@ def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
+def _write(path: str, mode: str, text: str) -> bool:
+    """Write text to the file at path; on an OSError say so on stderr and give False."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_direct(argv)
     if args is None:
         args = build_parser().parse_args(argv, SimpleNamespace())
+    # An unwritable --out is refused before the work.  Opening for append
+    # creates a missing file, empty, and leaves an existing file's bytes
+    # alone; they are replaced only once the output is ready.
+    if args.out and not _write(args.out, "a", ""):
+        return 2
     try:
         code, output = args.func(args)
         if args.format == "json":
@@ -336,13 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.out:
             sys.stdout.write(text)
             return code
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return code
+        return code if _write(args.out, "w", text) else 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

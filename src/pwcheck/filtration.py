@@ -154,6 +154,9 @@ def is_k_sequence(table: FiltrationTable, m: int, k: int) -> bool:
 # takes the least, the search stops at the first.  Both sides of every
 # comparison read 0 unless a stored cell or a nonzero row/antidiagonal
 # sum is involved, so walking the support alone finds every failure.
+# Each finder is a generator function: the search calls them some 720k
+# times on a 3x3 box, and a generator expression would build a function
+# object and a closure on every call.
 
 
 def _line_sums(table: FiltrationTable) -> tuple[collections.Counter, collections.Counter]:
@@ -167,42 +170,52 @@ def _line_sums(table: FiltrationTable) -> tuple[collections.Counter, collections
 
 def _first_cond_i(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Nothing strictly left of column k.
-    return ((i, j) for i, j in table._c if j < k)
+    for i, j in table._c:
+        if j < k:
+            yield i, j
 
 
 def _first_cond_ii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Every column symmetric about row m: v[m-i, j] == v[m+i, j].
     get = table._c.get
-    return ((abs(i - m), j) for (i, j), v in table._c.items()
-            if get((2 * m - i, j), 0) != v)
+    for (i, j), v in table._c.items():
+        if get((2 * m - i, j), 0) != v:
+            yield abs(i - m), j
 
 
 def _first_cond_iii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Antidiagonal sums symmetric about m + k.
     _, sums = _line_sums(table)
     c = m + k
-    return ((abs(t - c),) for t in sums if sums[2 * c - t] != sums[t])
+    for t in sums:
+        if sums[2 * c - t] != sums[t]:
+            yield (abs(t - c),)
 
 
 def _second_cond_i(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Within column j, rows mirror about m + k - j.  A failing pair of
     # rows is witnessed at its smaller row that is >= 0.
     get = table._c.get
-    return ((min(i, r) if r >= 0 else i, j) for (i, j), v in table._c.items()
-            for r in (2 * (m + k - j) - i,) if get((r, j), 0) != v)
+    for (i, j), v in table._c.items():
+        r = 2 * (m + k - j) - i
+        if get((r, j), 0) != v:
+            yield (min(i, r) if r >= 0 else i), j
 
 
 def _second_cond_ii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Antidiagonal k + l carries the same mass as row l, for l >= 0.
     rows, sums = _line_sums(table)
-    ls = set(rows).union(t - k for t in sums if t >= k)
-    return ((l,) for l in ls if sums[k + l] != rows[l])
+    for l in set(rows).union(t - k for t in sums if t >= k):
+        if sums[k + l] != rows[l]:
+            yield (l,)
 
 
 def _second_cond_iii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
     # Row sums symmetric about m.
     rows, _ = _line_sums(table)
-    return ((abs(i - m),) for i in rows if rows[2 * m - i] != rows[i])
+    for i in rows:
+        if rows[2 * m - i] != rows[i]:
+            yield (abs(i - m),)
 
 
 # Each entry is (label, finder, reads): the finder's result depends on
@@ -334,32 +347,45 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
 
     A finder yields its witnesses; the report takes the least, the
     search stops at the first.  Each condition reads one of k, m or
-    m + k (first: k, m, m + k; second: m + k, k, m), so on each table
-    its finder runs at most once per value of that parameter and the
-    other (m, k) pairs reuse the verdict.  Results come in table order,
-    then m, then k.
+    m + k (first: k, m, m + k; second: m + k, k, m), so the search
+    builds, before enumerating, one test per (condition, value it
+    reads): the finder, a representative (m, k) and the bitmask of the
+    (m, k) cases that read that value, bit b for case b in the order m,
+    then k.  On each table an int ``live`` holds the undecided cases; a
+    test runs only when ``live & mask``, conditions in order, and a
+    witness clears its mask from ``live``.  So a finder runs on a table
+    for a value exactly when some case reading it passed every earlier
+    condition, at most once, and the table is done once ``live`` is 0.
+    The cases left in ``live`` go to `is_k_sequence` in case order, so
+    results come in table order, then m, then k.
     """
     ms, ks = set(m_range), set(k_range)  # each range is read once
     count_search_tables(i_max, j_max, v_max, ms, ks, budget)
-    ms, ks = sorted(ms), sorted(ks)  # after count_search_tables checked each
+    cases = [(m, k) for m in sorted(ms) for k in sorted(ks)]  # after the check
+
+    tests: list[list] = []  # [finder, m, k, mask], conditions in order
+    for _, finder, reads in _CONDITIONS[which]:
+        by_value: dict[int, list] = {}
+        for bit, (m, k) in enumerate(cases):
+            by_value.setdefault(reads(m, k), [finder, m, k, 0])[3] |= 1 << bit
+        tests += by_value.values()
+    every = (1 << len(cases)) - 1
 
     cells = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)]
-    conditions = _CONDITIONS[which]
-    cases = [(m, k, [((label, reads(m, k)), finder) for label, finder, reads in conditions])
-             for m in ms for k in ks]
     found: list[tuple[FiltrationTable, int, int]] = []
     for values in itertools.product(range(v_max + 1), repeat=len(cells)):
-        data = {cell: v for cell, v in zip(cells, values) if v}
+        data = dict(itertools.compress(zip(cells, values), values))
         table = FiltrationTable._of(data)
-        holds: dict[tuple[str, int], bool] = {}
-        for m, k, keyed in cases:
-            for key, finder in keyed:
-                ok = holds.get(key)
-                if ok is None:
-                    ok = holds[key] = next(finder(table, m, k), None) is None
-                if not ok:
+        live = every
+        for finder, m, k, mask in tests:
+            if live & mask and next(finder(table, m, k), None) is not None:
+                live &= ~mask
+                if not live:
                     break
-            else:
-                if not is_k_sequence(table, m, k):
-                    found.append((FiltrationTable(data), m, k))
+        while live:  # the surviving cases, lowest bit first
+            low = live & -live
+            live ^= low
+            m, k = cases[low.bit_length() - 1]
+            if not is_k_sequence(table, m, k):
+                found.append((FiltrationTable(data), m, k))
     return found

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pwcheck.cli as cli
-from pwcheck import IdentityFailureError, NotPrimeError
+import pwcheck.filtration as filtration
+from pwcheck import Criterion, IdentityFailureError, NotPrimeError
 from pwcheck.cli import main
 from test_golden import GOLDEN
 
@@ -208,6 +209,45 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("verb", ["epoly", "verify", "ksearch"])
+def test_unwritable_out_is_refused_before_the_verb_runs(capsys, monkeypatch, tmp_path, verb):
+    # The verb raises a bug if it runs, which would exit 3.
+    def boom(args):
+        raise AssertionError("the verb ran")
+
+    _, verb_help, options = cli._VERBS[verb]
+    monkeypatch.setitem(cli._VERBS, verb, (boom, verb_help, options))
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *_argv(verb), "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "epoly --n 4 --g 2", "verify --n 3 --g 2 --d 3", "ksearch --budget 1",
+], ids=["composite-rank", "bad-degree", "over-budget"])
+def test_a_refused_run_keeps_an_existing_out_file(capsys, tmp_path, argv):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"earlier output\n")
+    assert run(capsys, *argv.split(), "--out", str(target))[:2] == (2, "")
+    assert target.read_bytes() == b"earlier output\n"
+
+
+def test_a_failed_run_leaves_an_empty_new_out_file(capsys, tmp_path):
+    target = tmp_path / "out.txt"
+    assert run(capsys, "epoly", "--n", "4", "--g", "2", "--out", str(target))[0] == 2
+    assert target.read_bytes() == b""
+
+
+def test_out_replaces_an_existing_file(capsys, tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"a much longer earlier output than the new one\n" * 10)
+    code, out, _ = run(capsys, "epoly", "--n", "2", "--g", "2", "--out", str(target))
+    assert (code, out) == (0, "")
+    assert target.read_bytes() == b"-30*q^7\n"
+
+
 def test_help_lists_every_verb_in_order(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -236,6 +276,37 @@ def test_verbose_goes_to_stderr(capsys):
     assert code == 0
     assert "dim=6" in err
     assert "dim=6" not in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_ksearch_verbose_times_each_criterion_on_stderr_only(capsys, fmt):
+    argv = ["ksearch", "--i-max", "1", "--j-max", "1", "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code2, out2, err2 = run(capsys, *argv, "--verbose")
+    assert (code2, out2) == (code, out)
+    lines = err2.splitlines()
+    assert lines[0] == "scanning 16 tables per criterion"
+    assert [line.rsplit(", ", 1)[0] for line in lines[1:]] == [
+        "criterion first: 16 tables, 0 hit(s)", "criterion second: 16 tables, 0 hit(s)"]
+    for line in lines[1:]:
+        seconds, unit = line.rsplit(", ", 1)[1].split()
+        assert unit == "s" and float(seconds) >= 0
+
+
+def test_ksearch_verbose_counts_the_hits(capsys, monkeypatch):
+    # with only condition (i) left, the first criterion lets tables through
+    conditions = dict(filtration._CONDITIONS)
+    conditions[Criterion.FIRST] = conditions[Criterion.FIRST][:1]
+    monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
+    code, out, err = run(capsys, "ksearch", "--criterion", "first", "--i-max", "1",
+                         "--j-max", "1", "--k-min", "1", "--k-max", "1", "--verbose")
+    assert code == 1
+    hits = out.splitlines()[0]
+    assert hits.endswith(" counterexample(s)")
+    count = int(hits.split()[2])
+    assert count > 0
+    assert err.splitlines()[1].startswith(f"criterion first: 16 tables, {count} hit(s), ")
 
 
 @pytest.mark.parametrize("argv, message", [

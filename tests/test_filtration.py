@@ -296,43 +296,78 @@ SMALL_BOXES = [
 ]
 
 
+# Subsets of each criterion's conditions, by index: the three prefixes,
+# and the subsets that leave out the first or the middle condition.
+SUBSETS = [pytest.param(subset, id=name) for subset, name in [
+    ((0,), "1"), ((0, 1), "2"), ((0, 1, 2), "3"),
+    ((1,), "ii"), ((2,), "iii"), ((0, 2), "i-iii"), ((1, 2), "ii-iii")]]
+
+
+def cut_down(monkeypatch, criterion, subset):
+    """Make the search read only the given conditions of the criterion."""
+    conditions = dict(filtration._CONDITIONS)
+    conditions[criterion] = tuple(conditions[criterion][c] for c in subset)
+    monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
+    return conditions[criterion]
+
+
 @pytest.mark.parametrize("criterion", list(Criterion))
-@pytest.mark.parametrize("prefix", [1, 2, 3])
-def test_search_equals_the_reference(monkeypatch, criterion, prefix):
+@pytest.mark.parametrize("subset", SUBSETS)
+def test_search_equals_the_reference(monkeypatch, criterion, subset):
     # a cut-down criterion lets non-k-sequences through, so the order of
     # a non-empty result is compared too
-    conditions = dict(filtration._CONDITIONS)
-    conditions[criterion] = conditions[criterion][:prefix]
-    monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
+    conditions = cut_down(monkeypatch, criterion, subset)
     total = 0
     for box in SMALL_BOXES:
         hits = falsification_search(criterion, *box)
-        assert hits == reference_search(conditions[criterion], *box)
+        assert hits == reference_search(conditions, *box)
         total += len(hits)
-    if prefix == 1 or (criterion is Criterion.FIRST and prefix == 2):
+    if subset == (0,) or (criterion is Criterion.FIRST and subset == (0, 1)):
         assert total
 
 
-@pytest.mark.parametrize("criterion", list(Criterion))
-def test_search_runs_each_finder_once_per_value_it_reads(monkeypatch, criterion):
-    calls = collections.Counter()
-
+def counting(conditions, calls):
+    """The conditions, each finder wrapped to count its calls by label."""
     def counted(label, finder):
         def call(table, m, k):
             calls[label] += 1
             return finder(table, m, k)
         return call
 
-    conditions = dict(filtration._CONDITIONS)
-    conditions[criterion] = tuple((label, counted(label, finder), reads)
-                                  for label, finder, reads in conditions[criterion])
-    monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
-    ms, ks = range(1, 4), range(0, 3)    # the ksearch default box
-    assert falsification_search(criterion, 3, 2, 1, ms, ks) == []
-    tables = 2 ** 12
-    for label, _, reads in conditions[criterion]:
-        values = {reads(m, k) for m in ms for k in ks}
-        assert 0 < calls[label] <= tables * len(values), label
+    return tuple((label, counted(label, finder), reads) for label, finder, reads in conditions)
+
+
+def reference_finder_calls(conditions, i_max, j_max, v_max, m_range, k_range):
+    """Per label, the (table, value read) pairs the search must run the
+    finder on: those where some (m, k) reading the value passes every
+    earlier condition, each evaluated afresh."""
+    cells = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)]
+    calls = collections.Counter()
+    for values in itertools.product(range(v_max + 1), repeat=len(cells)):
+        table = FiltrationTable(dict(zip(cells, values)))
+        for c, (label, _, reads) in enumerate(conditions):
+            calls[label] += len({
+                reads(m, k) for m in m_range for k in k_range
+                if all(next(finder(table, m, k), None) is None
+                       for _, finder, _ in conditions[:c])})
+    return calls
+
+
+@pytest.mark.parametrize("criterion, subset", [
+    (Criterion.FIRST, (0, 1, 2)), (Criterion.SECOND, (0, 1, 2)), (Criterion.FIRST, (1, 2))],
+    ids=["Criterion.FIRST", "Criterion.SECOND", "first-ii-iii"])
+def test_search_runs_each_finder_once_per_value_it_reads(monkeypatch, criterion, subset):
+    # Exactly the finder calls of the rule, none saved and none added: a
+    # finder runs on a table for a value iff some (m, k) reading that
+    # value passes every earlier condition.
+    conditions = cut_down(monkeypatch, criterion, subset)
+    box = (3, 2, 1, range(1, 4), range(0, 3))    # the ksearch default box
+    calls = collections.Counter()
+    filtration._CONDITIONS[criterion] = counting(conditions, calls)
+    hits = falsification_search(criterion, *box)
+    assert bool(hits) == (subset != (0, 1, 2))
+    assert calls == reference_finder_calls(conditions, *box)
+    assert set(calls) == {label for label, _, _ in conditions}
 
 
 def test_search_finds_nothing_on_the_small_grid():
