@@ -1,4 +1,5 @@
-"""Bigraded tables, the two recognition criteria, and the search.
+"""Bigraded tables, the two recognition criteria, their certificates
+and the search.
 
 Run:  python3 demos/04_k_sequences.py
 """
@@ -6,11 +7,12 @@ Run:  python3 demos/04_k_sequences.py
 from pwcheck import (
     Criterion,
     FiltrationTable,
+    certify_criterion,
     check_first_criterion,
     check_second_criterion,
-    falsification_search,
     is_k_sequence,
 )
+from pwcheck.filtration import falsification_search
 
 # A genuine k-sequence: one column, symmetric about row m.
 good = FiltrationTable({(1, 1): 3, (2, 1): 7, (3, 1): 3})
@@ -32,10 +34,13 @@ print(f"  as JSON: {report.to_json()}")
 print()
 
 # The point of the criteria is that their conditions force the shape.
-# Search every small table for one that satisfies a criterion without
-# being a k-sequence.
+# The certificate checks each criterion's proof on the 4 x 3 box, for
+# tables of any entries (it raises VerificationError if the proof fails
+# there); the search enumerates every table with entries 0 or 1 on the
+# same box for one that satisfies a criterion without being a k-sequence.
 for criterion in Criterion:
+    certify_criterion(criterion, 3, 2, range(1, 4), range(0, 3))
     hits = falsification_search(criterion, 3, 2, 1, range(1, 4), range(0, 3))
     tables = 2 ** 12
-    print(f"{criterion.value} criterion: {len(hits)} counterexamples "
-          f"among {tables} tables")
+    print(f"{criterion.value} criterion: certificate holds; {len(hits)} "
+          f"counterexamples among {tables} tables")

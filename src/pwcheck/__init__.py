@@ -18,9 +18,9 @@ from .filtration import (
     Criterion,
     CriterionReport,
     FiltrationTable,
+    certify_criterion,
     check_first_criterion,
     check_second_criterion,
-    falsification_search,
     is_k_sequence,
 )
 from .hitchin import (

@@ -1,9 +1,13 @@
 """Command line front end: the verbs epoly, betti, pw, verify and
 ksearch, whose help texts and options are in the _VERBS table.
 
-Exit codes: 0 all good, 1 a verification failed or a counterexample
-was found, 2 usage or domain error or an unwritable --out, 3 an internal
-error: any exception that is neither a DomainError nor a
+ksearch gives its verdict by checking each criterion's proof
+certificate on the box (filtration.certify_criterion); it enumerates
+no tables.
+
+Exit codes: 0 all good, 1 a verification failed or a ksearch
+certificate failed, 2 usage or domain error or an unwritable --out, 3
+an internal error: any exception that is neither a DomainError nor a
 VerificationError is a bug, reported on stderr as
 "internal error: <Type>: <message>".
 
@@ -23,7 +27,7 @@ from types import SimpleNamespace
 from ._frozen import DomainError, VerificationError, compact_json
 from .epoly import (
     ModuliParams, closed_e, euler_variant, mirror_difference, variant_betti)
-from .filtration import DEFAULT_BUDGET, Criterion, count_search_tables, falsification_search
+from .filtration import DEFAULT_BUDGET, Criterion, certify_criterion, count_search_tables
 from .hitchin import endoscopic_bound, verify_pw
 from .hookchar import evar_from_types
 from .laurent import LaurentPoly
@@ -164,54 +168,34 @@ def cmd_ksearch(args: SimpleNamespace) -> tuple[int, object]:
     if args.verbose:
         print(f"scanning {tables} tables per criterion", file=sys.stderr)
 
-    results = {}
     for criterion in which:
         start = time.perf_counter()
-        results[criterion.value] = hits = falsification_search(
-            criterion, args.i_max, args.j_max, args.v_max,
-            m_range, k_range, budget=args.budget)
+        # With v_max 0 the one table is the zero table, a k-sequence for
+        # every (m, k); a failed certificate raises VerificationError.
+        if args.v_max:
+            certify_criterion(criterion, args.i_max, args.j_max, m_range, k_range)
         if args.verbose:
-            print(f"criterion {criterion.value}: {tables} tables, {len(hits)} hit(s), "
+            print(f"criterion {criterion.value}: {tables} tables, 0 hit(s), "
                   f"{time.perf_counter() - start:.3f} s", file=sys.stderr)
-    found = sum(len(v) for v in results.values())
-    code = 1 if found else 0
+    names = sorted(criterion.value for criterion in which)
 
     if args.format == "json":
-        return code, {
+        return 0, {
             "i_max": args.i_max,
             "j_max": args.j_max,
             "v_max": args.v_max,
             "m_range": [args.m_min, args.m_max],
             "k_range": [args.k_min, args.k_max],
             "tables_scanned": tables,
-            "results": {
-                name: [
-                    {"table": table.to_json_obj(), "m": m, "k": k}
-                    for table, m, k in hits
-                ]
-                for name, hits in sorted(results.items())
-            },
-            "counterexamples": found,
+            "results": {name: [] for name in names},
+            "counterexamples": 0,
         }
     if args.format == "csv":
-        lines = ["criterion,m,k,i,j,value"]
-        for name, hits in sorted(results.items()):
-            for table, m, k in hits:
-                for (i, j), v in table.items():
-                    lines.append(f"{name},{m},{k},{i},{j},{v}")
-        return code, "\n".join(lines)
-    lines = []
-    for name, hits in sorted(results.items()):
-        if hits:
-            lines.append(f"criterion {name}: {len(hits)} counterexample(s)")
-            for table, m, k in hits:
-                lines.append(f"  m={m} k={k} {table!r}")
-        else:
-            lines.append(
-                f"criterion {name}: no counterexamples "
-                f"({tables} tables, m in [{args.m_min},{args.m_max}], "
-                f"k in [{args.k_min},{args.k_max}])")
-    return code, "\n".join(lines)
+        return 0, "criterion,m,k,i,j,value"
+    return 0, "\n".join(
+        f"criterion {name}: no counterexamples ({tables} tables, "
+        f"m in [{args.m_min},{args.m_max}], k in [{args.k_min},{args.k_max}])"
+        for name in names)
 
 
 # Every verb option, written once: flag -> (kind, default, help).  The

@@ -4,9 +4,10 @@ A table assigns a nonnegative integer to each bidegree (i, j), almost
 all zero.  A k-sequence is a table supported on the single column
 j = k whose column is symmetric about row m.  The two criteria give
 finite lists of linear conditions that force a table to be one; the
-checkers here evaluate them exactly, and the falsification search
-hunts for small tables that would separate the conditions from the
-definition.
+checkers here evaluate them exactly.  `certify_criterion` checks the
+proof that they force it, as a certificate on a box, for tables of any
+entries; the falsification search enumerates the small tables of a box
+and is the oracle the certificate is tested against.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import enum
 import itertools
 from collections.abc import Iterable, Iterator
 
-from ._frozen import DomainError, Frozen, SparseMap, is_int_pair, require_int
+from ._frozen import (
+    DomainError, Frozen, SparseMap, VerificationError, is_int_pair, require_int)
 
 # The most (table, m, k) cases a search visits unless given a budget.
 DEFAULT_BUDGET = 10 ** 7
@@ -293,6 +295,162 @@ def check_second_criterion(table: FiltrationTable, m: int, k: int) -> CriterionR
     return _check(Criterion.SECOND, table, m, k)
 
 
+# The two proofs above as certificates on a box [0..i_max] x [0..j_max].
+# On a box each condition is a finite list of linear equalities over the
+# cells, a read outside the box being 0 as the finders read it.  An
+# equality is (index, plus, minus): the cells in plus sum to the cells
+# in minus.  A builder takes the box's rows and antidiagonals, each a
+# list of its cells, and (m, k), and yields every equality that has a
+# box cell.
+
+
+def _box_lines(i_max: int, j_max: int) -> tuple[list, list]:
+    """The rows and the antidiagonals of the box, each a list of its cells."""
+    rows = [[(i, j) for j in range(j_max + 1)] for i in range(i_max + 1)]
+    diagonals = [[(i, t - i) for i in range(max(0, t - j_max), min(t, i_max) + 1)]
+                 for t in range(i_max + j_max + 1)]
+    return rows, diagonals
+
+
+def _line(lines: list, index: int) -> list:
+    return lines[index] if 0 <= index < len(lines) else []
+
+
+def _mirror_equalities(rows: list, centre) -> Iterator[tuple]:
+    # Each cell (i, j) equals (2 * centre(j) - i, j).
+    for row in rows:
+        for i, j in row:
+            r = 2 * centre(j) - i
+            yield (i, j), [(i, j)], [(r, j)] if 0 <= r < len(rows) else []
+
+
+# Per criterion and condition label, the equality builder.
+_EQUALITIES = {
+    Criterion.FIRST: {
+        "i": lambda rows, diagonals, m, k: (
+            ((i, j), [(i, j)], []) for row in rows for i, j in row if j < k),
+        "ii": lambda rows, diagonals, m, k: _mirror_equalities(rows, lambda j: m),
+        "iii": lambda rows, diagonals, m, k: (
+            (t, diagonals[t], _line(diagonals, 2 * (m + k) - t))
+            for t in range(len(diagonals))),
+    },
+    Criterion.SECOND: {
+        "i": lambda rows, diagonals, m, k: _mirror_equalities(rows, lambda j: m + k - j),
+        "ii": lambda rows, diagonals, m, k: (
+            (l, _line(diagonals, k + l), _line(rows, l))
+            for l in range(max(len(rows), len(diagonals) - k))),
+        "iii": lambda rows, diagonals, m, k: (
+            (i, rows[i], _line(rows, 2 * m - i)) for i in range(len(rows))),
+    },
+}
+
+
+def _skew_multiplier(cell: tuple[int, int], m: int, k: int) -> int:
+    # 2(j - k)(i - r) on one cell of each mirror pair of second/(i), r = m + k - j.
+    i, j = cell
+    r = m + k - j
+    return 2 * (j - k) * (i - r) if i < r or i > 2 * r else 0
+
+
+# Per criterion: the condition whose equalities on column k must be the
+# k-sequence mirror about m, and the proof's stages.  A stage maps a
+# condition label to its multiplier (index, m, k).  A mirror equality
+# gets a multiplier on one cell of each mirror pair only, so that the
+# two equalities of a pair do not cancel.
+_CERTIFICATES = {
+    Criterion.FIRST: ("ii", (
+        {"i": lambda cell, m, k: 1},
+        # -(i - m) and (t - m - k) give sum w*(j - k).
+        {"ii": lambda cell, m, k: m - cell[0] if cell[0] < m or cell[0] > 2 * m else 0,
+         "iii": lambda t, m, k: t - m - k if t < m + k or t > 2 * (m + k) else 0})),
+    Criterion.SECOND: ("i", (
+        # The mass below antidiagonal k.
+        {"ii": lambda l, m, k: -1},
+        # sum w*(j - k)^2 on and above antidiagonal k.
+        {"ii": lambda l, m, k: 2 * m * l - l * l, "i": _skew_multiplier})),
+}
+
+
+def certify_criterion(which: Criterion, i_max: int, j_max: int, m_range: Iterable[int],
+                      k_range: Iterable[int]) -> None:
+    """Check the proof in the criterion's checker docstring on the box
+    [0..i_max] x [0..j_max], for every (m, k) of the ranges.
+
+    For each (m, k) it builds the equalities of every condition that
+    `_CONDITIONS` lists for the criterion, and sums them, stage by
+    stage, times the proof's multipliers, in exact ints.  A table that
+    satisfies the conditions gives each stage's sum 0.  So where a
+    stage's coefficient is >= 0 on every cell not yet forced to 0, every
+    cell where it is > 0 is forced to 0 too.  It checks that, cell by
+    cell, then that every cell off column k ends up forced to 0, and
+    that the equalities on column k are the k-sequence mirror about m.
+    Passing shows that every table on the box with nonnegative int
+    entries, of any size, that satisfies the criterion is a k-sequence:
+    it covers what `falsification_search` enumerates, for every v_max.
+
+    The arguments are refused as `count_search_tables` refuses them.  A
+    failing check raises VerificationError naming the criterion, (m, k),
+    the cell and its coefficient.
+    """
+    ms, ks = _require_box((i_max, j_max), m_range, k_range)
+    rows, diagonals = _box_lines(i_max, j_max)
+    cells = [cell for row in rows for cell in row]
+    column, stages = _CERTIFICATES[which]
+    builders = _EQUALITIES[which]
+    for m in sorted(ms):
+        for k in sorted(ks):
+            def failure(cell: tuple[int, int], what: str) -> VerificationError:
+                return VerificationError(f"{which.value} criterion certificate fails at "
+                                         f"m={m}, k={k}, cell {cell}: {what}")
+
+            equalities = {label: list(builders[label](rows, diagonals, m, k))
+                          for label, _, _ in _CONDITIONS[which]}
+            forced: set[tuple[int, int]] = set()
+            for stage in stages:
+                coefficient = dict.fromkeys(cells, 0)
+                for label, multiplier in stage.items():
+                    for index, plus, minus in equalities.get(label, ()):
+                        c = multiplier(index, m, k)
+                        for cell in plus:
+                            coefficient[cell] += c
+                        for cell in minus:
+                            coefficient[cell] -= c
+                for cell, c in coefficient.items():
+                    if c < 0 and cell not in forced:
+                        raise failure(cell, f"coefficient {c} < 0")
+                forced.update(cell for cell, c in coefficient.items() if c > 0)
+            for cell, c in coefficient.items():
+                if cell[1] != k and cell not in forced:
+                    raise failure(cell, f"coefficient {c} off column k")
+            mirror = {index: (plus, minus) for index, plus, minus in equalities.get(column, ())}
+            for i in range(i_max + 1) if k <= j_max else ():
+                r = 2 * m - i
+                if mirror.get((i, k)) != ([(i, k)], [(r, k)] if 0 <= r <= i_max else []):
+                    raise failure((i, k), f"not tied to row {r} by condition ({column})")
+
+
+def _require_box(bounds: tuple[int, ...], m_range: Iterable[int], k_range: Iterable[int],
+                 budget: int = 0) -> tuple[set, set]:
+    """The sets of m and of k, once the box is checked: refuse a bound
+    that is not an int, a budget that is not an int, a negative bound,
+    an m or k out of range and an empty range, in that order."""
+    for bound in bounds:
+        if type(bound) is not int:
+            raise DomainError(f"grid bound {bound!r} must be an int")
+    if type(budget) is not int:
+        raise DomainError(f"budget {budget!r} must be an int")
+    if min(bounds) < 0:
+        raise DomainError("grid bounds must be nonnegative")
+    ms, ks = set(m_range), set(k_range)
+    for m in ms:
+        _require_mk(m, 0)
+    for k in ks:
+        _require_mk(1, k)
+    if not ms or not ks:
+        raise DomainError("m_range and k_range must be nonempty")
+    return ms, ks
+
+
 def count_search_tables(i_max: int, j_max: int, v_max: int, m_range: Iterable[int],
                         k_range: Iterable[int], budget: int = DEFAULT_BUDGET) -> int:
     """Number of tables `falsification_search` enumerates on this grid.
@@ -304,20 +462,7 @@ def count_search_tables(i_max: int, j_max: int, v_max: int, m_range: Iterable[in
     over, so no cell list and no number much larger than the budget is
     built.
     """
-    for bound in (i_max, j_max, v_max):
-        if type(bound) is not int:
-            raise DomainError(f"grid bound {bound!r} must be an int")
-    if type(budget) is not int:
-        raise DomainError(f"budget {budget!r} must be an int")
-    if i_max < 0 or j_max < 0 or v_max < 0:
-        raise DomainError("grid bounds must be nonnegative")
-    ms, ks = set(m_range), set(k_range)
-    for m in ms:
-        _require_mk(m, 0)
-    for k in ks:
-        _require_mk(1, k)
-    if not ms or not ks:
-        raise DomainError("m_range and k_range must be nonempty")
+    ms, ks = _require_box((i_max, j_max, v_max), m_range, k_range, budget)
     cases = len(ms) * len(ks)
     tables, cells = 1, (i_max + 1) * (j_max + 1)
     while v_max and cells and tables * cases <= budget:

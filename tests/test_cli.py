@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -294,19 +295,73 @@ def test_ksearch_verbose_times_each_criterion_on_stderr_only(capsys, fmt):
         assert unit == "s" and float(seconds) >= 0
 
 
-def test_ksearch_verbose_counts_the_hits(capsys, monkeypatch):
-    # with only condition (i) left, the first criterion lets tables through
+def test_a_failing_certificate_exits_1_naming_the_cell(capsys, monkeypatch):
+    # with condition (iii) left out, the first criterion's proof fails
     conditions = dict(filtration._CONDITIONS)
-    conditions[Criterion.FIRST] = conditions[Criterion.FIRST][:1]
+    conditions[Criterion.FIRST] = conditions[Criterion.FIRST][:2]
     monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
     code, out, err = run(capsys, "ksearch", "--criterion", "first", "--i-max", "1",
-                         "--j-max", "1", "--k-min", "1", "--k-max", "1", "--verbose")
-    assert code == 1
-    hits = out.splitlines()[0]
-    assert hits.endswith(" counterexample(s)")
-    count = int(hits.split()[2])
-    assert count > 0
-    assert err.splitlines()[1].startswith(f"criterion first: 16 tables, {count} hit(s), ")
+                         "--j-max", "1", "--k-min", "0", "--k-max", "0", "--verbose")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "scanning 16 tables per criterion",
+        "verification failure: first criterion certificate fails at m=1, k=0, "
+        "cell (1, 1): coefficient 0 off column k"]
+
+
+# The ksearch-boxes benchmark boxes, and the digests of the two of their
+# outputs that GOLDEN does not pin, as the enumerating verb printed them.
+KSEARCH_BOXES = ["ksearch", "ksearch --i-max 3 --j-max 3 --criterion first",
+                 "ksearch --i-max 3 --j-max 3 --criterion second"]
+MORE_DIGESTS = {
+    "ksearch --i-max 3 --j-max 3 --criterion first --format csv":
+        "41465ee7f9a79406d2a919db479b2924c3aba63c9a7d59d035b6a2860db8dc2f",
+    "ksearch --i-max 3 --j-max 3 --criterion second --format json":
+        "bc4df0fe9c62209ca89a31ee5bf57d4216966b0e1915d577d03636253d586435",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("box", KSEARCH_BOXES)
+def test_ksearch_never_enumerates(capsys, monkeypatch, box, fmt):
+    def boom(*args, **kwargs):
+        raise AssertionError("the verb enumerated")
+
+    monkeypatch.setattr(filtration, "falsification_search", boom)
+    monkeypatch.setattr(cli, "falsification_search", boom, raising=False)
+    argv = f"{box} --format {fmt}"
+    digest = {a: d for a, c, d in GOLDEN if c == 0}.get(argv) or MORE_DIGESTS[argv]
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_ksearch_with_v_max_0_builds_no_equalities(capsys, monkeypatch):
+    # The one table is the zero table, a k-sequence for every (m, k): a
+    # 10**6-cell box is answered without a certificate.
+    calls = [0]
+
+    def counted(builder):
+        def build(*args):
+            calls[0] += 1
+            return builder(*args)
+        return build
+
+    monkeypatch.setattr(filtration, "_EQUALITIES", {
+        criterion: {label: counted(builder) for label, builder in builders.items()}
+        for criterion, builders in filtration._EQUALITIES.items()})
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "ksearch", "--i-max", "999", "--j-max", "999",
+                             "--v-max", "0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err, calls[0]) == (0, "", 0)
+    assert out == (
+        "criterion first: no counterexamples (1 tables, m in [1,3], k in [0,2])\n"
+        "criterion second: no counterexamples (1 tables, m in [1,3], k in [0,2])\n")
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -326,7 +381,7 @@ def test_a_refused_input_exits_2_with_its_message(capsys, argv, message):
 
 # One function each verb calls outside verify's per-check guard.
 VERB_CALLS = [("epoly", "closed_e"), ("betti", "variant_betti"), ("pw", "verify_pw"),
-              ("verify", "_verify_checks"), ("ksearch", "falsification_search")]
+              ("verify", "_verify_checks"), ("ksearch", "certify_criterion")]
 
 
 def _argv(verb):

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pwcheck.filtration as filtration
-from pwcheck import DomainError
+from pwcheck import DomainError, VerificationError
 from pwcheck.filtration import (
     BudgetExceededError,
     Criterion,
     FiltrationTable,
+    certify_criterion,
     check_first_criterion,
     check_second_criterion,
     count_search_tables,
@@ -488,3 +489,109 @@ def test_search_reports_planted_counterexample(monkeypatch):
     assert hits
     for table, m, k in hits:
         assert not is_k_sequence(table, m, k)
+
+
+@st.composite
+def boxed_tables(draw):
+    """A box (i_max, j_max) and a table on it."""
+    i_max, j_max = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, i_max), st.integers(0, j_max)), st.integers(1, 3),
+        max_size=10))
+    return i_max, j_max, FiltrationTable(cells)
+
+
+@given(boxed_tables(), st.integers(1, 5), st.integers(0, 4))
+@settings(deadline=None)
+def test_each_conditions_equalities_hold_iff_its_finder_finds_nothing(boxed, m, k):
+    # The certificate reads each condition as equalities on the box; on a
+    # table in the box they must say what the finder checks.
+    i_max, j_max, table = boxed
+    rows, diagonals = filtration._box_lines(i_max, j_max)
+    for criterion, conditions in filtration._CONDITIONS.items():
+        for label, finder, _ in conditions:
+            equalities = filtration._EQUALITIES[criterion][label](rows, diagonals, m, k)
+            holds = all(sum(table.get(*cell) for cell in plus)
+                        == sum(table.get(*cell) for cell in minus)
+                        for _, plus, minus in equalities)
+            assert holds == (next(finder(table, m, k), None) is None), (criterion, label)
+
+
+# The small boxes, the ksearch default box and the two 3x3 boxes the
+# benchmark runs ksearch on.
+ORACLE_BOXES = [(i_max, j_max, m_range, k_range)
+                for i_max, j_max, _, m_range, k_range in SMALL_BOXES] + [
+    (3, 2, range(1, 4), range(0, 3)), (3, 3, range(1, 4), range(0, 3))]
+
+
+def certified(criterion, i_max, j_max, m_range, k_range):
+    try:
+        certify_criterion(criterion, i_max, j_max, m_range, k_range)
+    except VerificationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_the_certificate_and_the_search_agree_on_every_box(criterion):
+    for i_max, j_max, m_range, k_range in ORACLE_BOXES:
+        assert certified(criterion, i_max, j_max, m_range, k_range)
+        assert falsification_search(criterion, i_max, j_max, 1, m_range, k_range) == []
+
+
+# A condition a proof uses, left out: the certificate fails and the
+# search finds tables that are not k-sequences, on the small boxes and a
+# 3x3 one.  Second/(iii) is implied by (i) and (ii): without it both
+# still find nothing.  On no box does the certificate pass with a hit.
+@pytest.mark.parametrize("criterion, left_out", [
+    (Criterion.FIRST, 0), (Criterion.FIRST, 1), (Criterion.FIRST, 2),
+    (Criterion.SECOND, 0), (Criterion.SECOND, 1), (Criterion.SECOND, 2)])
+def test_leaving_out_a_condition_fails_the_certificate_and_the_search(
+        monkeypatch, criterion, left_out):
+    cut_down(monkeypatch, criterion, tuple(c for c in range(3) if c != left_out))
+    used = (criterion, left_out) != (Criterion.SECOND, 2)
+    boxes = SMALL_BOXES + [(2, 2, 1, range(1, 3), range(0, 2))]
+    passed = [certified(criterion, i_max, j_max, m_range, k_range)
+              for i_max, j_max, _, m_range, k_range in boxes]
+    hits = [falsification_search(criterion, *box) for box in boxes]
+    assert any(hits) == (not all(passed)) == used
+    for box, ok, found in zip(boxes, passed, hits):
+        assert not (ok and found), box
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_the_certificate_takes_the_column_k_mirror_from_its_named_condition(
+        monkeypatch, criterion):
+    # The stages force every cell off column k; the k-sequence's mirror
+    # about m must then be the named condition's equalities on column k.
+    _, stages = filtration._CERTIFICATES[criterion]
+    monkeypatch.setitem(filtration._CERTIFICATES, criterion, ("iii", stages))
+    with pytest.raises(VerificationError) as info:
+        certify_criterion(criterion, 2, 1, [1], [0])
+    assert str(info.value) == (
+        f"{criterion.value} criterion certificate fails at m=1, k=0, cell (0, 0): "
+        "not tied to row 2 by condition (iii)")
+
+
+@given(st.integers(0, 7), st.integers(0, 7),
+       st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       st.lists(st.integers(0, 9), min_size=1, max_size=3))
+@settings(deadline=None, max_examples=50)
+def test_the_certificate_passes_on_every_box(i_max, j_max, m_range, k_range):
+    for criterion in Criterion:
+        certify_criterion(criterion, i_max, j_max, m_range, k_range)
+
+
+@pytest.mark.parametrize("box", [
+    (-1, 1, [1], [0]), (1, 1.0, [1], [0]), (True, 1, [1], [0]), (1, 1, [], [0]),
+    (1, 1, [1], []), (1, 1, [0], [0]), (1, 1, [1], [-1]), (1, 1, [1, "a"], [0]),
+    (-1, 1, None, [0])])
+def test_the_certificate_refuses_what_the_count_refuses(box):
+    i_max, j_max, m_range, k_range = box
+    with pytest.raises(ValueError) as expected:
+        count_search_tables(i_max, j_max, 1, m_range, k_range)
+    for criterion in Criterion:
+        with pytest.raises(ValueError) as info:
+            certify_criterion(criterion, i_max, j_max, m_range, k_range)
+        assert (type(info.value), str(info.value)) == (type(expected.value),
+                                                       str(expected.value))
