@@ -12,7 +12,7 @@ from pwcheck import (
     check_second_criterion,
     is_k_sequence,
 )
-from pwcheck.filtration import falsification_search
+from pwcheck.filtration import count_search_tables, falsification_search
 
 # A genuine k-sequence: one column, symmetric about row m.
 good = FiltrationTable({(1, 1): 3, (2, 1): 7, (3, 1): 3})
@@ -38,9 +38,9 @@ print()
 # tables of any entries (it raises VerificationError if the proof fails
 # there); the search enumerates every table with entries 0 or 1 on the
 # same box for one that satisfies a criterion without being a k-sequence.
+tables = count_search_tables(3, 2, 1, range(1, 4), range(0, 3))
 for criterion in Criterion:
     certify_criterion(criterion, 3, 2, range(1, 4), range(0, 3))
     hits = falsification_search(criterion, 3, 2, 1, range(1, 4), range(0, 3))
-    tables = 2 ** 12
     print(f"{criterion.value} criterion: certificate holds; {len(hits)} "
           f"counterexamples among {tables} tables")

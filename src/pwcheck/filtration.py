@@ -6,8 +6,8 @@ j = k whose column is symmetric about row m.  The two criteria give
 finite lists of linear conditions that force a table to be one; the
 checkers here evaluate them exactly.  `certify_criterion` checks the
 proof that they force it, as a certificate on a box, for tables of any
-entries; the falsification search enumerates the small tables of a box
-and is the oracle the certificate is tested against.
+entries; the falsification search is the plain reference enumeration of
+the small tables of a box, the oracle the certificate is tested against.
 """
 
 from __future__ import annotations
@@ -156,9 +156,6 @@ def is_k_sequence(table: FiltrationTable, m: int, k: int) -> bool:
 # takes the least, the search stops at the first.  Both sides of every
 # comparison read 0 unless a stored cell or a nonzero row/antidiagonal
 # sum is involved, so walking the support alone finds every failure.
-# Each finder is a generator function: the search calls them some 720k
-# times on a 3x3 box, and a generator expression would build a function
-# object and a closure on every call.
 
 
 def _line_sums(table: FiltrationTable) -> tuple[collections.Counter, collections.Counter]:
@@ -220,17 +217,10 @@ def _second_cond_iii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[i
             yield (abs(i - m),)
 
 
-# Each entry is (label, finder, reads): the finder's result depends on
-# (m, k) only through reads(m, k), which lets the search reuse it.
+# Per criterion, its conditions in order, as (label, finder).
 _CONDITIONS = {
-    Criterion.FIRST: (
-        ("i", _first_cond_i, lambda m, k: k),
-        ("ii", _first_cond_ii, lambda m, k: m),
-        ("iii", _first_cond_iii, lambda m, k: m + k)),
-    Criterion.SECOND: (
-        ("i", _second_cond_i, lambda m, k: m + k),
-        ("ii", _second_cond_ii, lambda m, k: k),
-        ("iii", _second_cond_iii, lambda m, k: m)),
+    Criterion.FIRST: (("i", _first_cond_i), ("ii", _first_cond_ii), ("iii", _first_cond_iii)),
+    Criterion.SECOND: (("i", _second_cond_i), ("ii", _second_cond_ii), ("iii", _second_cond_iii)),
 }
 
 
@@ -258,7 +248,7 @@ class CriterionReport(_Record):
 
 def _check(criterion: Criterion, table: FiltrationTable, m: int, k: int) -> CriterionReport:
     _require_mk(m, k)
-    least = {label: min(f(table, m, k), default=None) for label, f, _ in _CONDITIONS[criterion]}
+    least = {label: min(f(table, m, k), default=None) for label, f in _CONDITIONS[criterion]}
     failed = next(((label, where) for label, where in least.items() if where is not None), None)
     return CriterionReport(criterion, m, k, *(where is None for where in least.values()),
                            is_k_sequence(table, m, k), failed)
@@ -404,7 +394,7 @@ def certify_criterion(which: Criterion, i_max: int, j_max: int, m_range: Iterabl
                                          f"m={m}, k={k}, cell {cell}: {what}")
 
             equalities = {label: list(builders[label](rows, diagonals, m, k))
-                          for label, _, _ in _CONDITIONS[which]}
+                          for label, _ in _CONDITIONS[which]}
             forced: set[tuple[int, int]] = set()
             for stage in stages:
                 coefficient = dict.fromkeys(cells, 0)
@@ -429,11 +419,28 @@ def certify_criterion(which: Criterion, i_max: int, j_max: int, m_range: Iterabl
                     raise failure((i, k), f"not tied to row {r} by condition ({column})")
 
 
+def _read_once(values: Iterable[int]) -> range | set:
+    """The values, read once: a range as it is, anything else as a set.
+
+    A range is checked at its two ends and counted from them, so a guard
+    on it builds nothing as long as the range."""
+    return values if isinstance(values, range) else set(values)
+
+
+def _ends(values: range | set) -> Iterable[int]:
+    return (values[0], values[-1]) if isinstance(values, range) and values else values
+
+
+def _size(values: range | set) -> int:
+    # A range's len() raises OverflowError past sys.maxsize; index() does not.
+    return values.index(values[-1]) + 1 if isinstance(values, range) else len(values)
+
+
 def _require_box(bounds: tuple[int, ...], m_range: Iterable[int], k_range: Iterable[int],
-                 budget: int = 0) -> tuple[set, set]:
-    """The sets of m and of k, once the box is checked: refuse a bound
-    that is not an int, a budget that is not an int, a negative bound,
-    an m or k out of range and an empty range, in that order."""
+                 budget: int = 0) -> tuple[range | set, range | set]:
+    """The m and the k values, read once, once the box is checked: refuse
+    a bound that is not an int, a budget that is not an int, a negative
+    bound, an m or k out of range and an empty range, in that order."""
     for bound in bounds:
         if type(bound) is not int:
             raise DomainError(f"grid bound {bound!r} must be an int")
@@ -441,10 +448,10 @@ def _require_box(bounds: tuple[int, ...], m_range: Iterable[int], k_range: Itera
         raise DomainError(f"budget {budget!r} must be an int")
     if min(bounds) < 0:
         raise DomainError("grid bounds must be nonnegative")
-    ms, ks = set(m_range), set(k_range)
-    for m in ms:
+    ms, ks = _read_once(m_range), _read_once(k_range)
+    for m in _ends(ms):
         _require_mk(m, 0)
-    for k in ks:
+    for k in _ends(ks):
         _require_mk(1, k)
     if not ms or not ks:
         raise DomainError("m_range and k_range must be nonempty")
@@ -460,10 +467,10 @@ def count_search_tables(i_max: int, j_max: int, v_max: int, m_range: Iterable[in
     an int) and raises BudgetExceededError if tables x |m_range| x
     |k_range| exceeds the budget.  The count stops growing once it is
     over, so no cell list and no number much larger than the budget is
-    built.
+    built, and a range is never expanded.
     """
     ms, ks = _require_box((i_max, j_max, v_max), m_range, k_range, budget)
-    cases = len(ms) * len(ks)
+    cases = _size(ms) * _size(ks)
     tables, cells = 1, (i_max + 1) * (j_max + 1)
     while v_max and cells and tables * cases <= budget:
         tables *= v_max + 1
@@ -481,6 +488,13 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
     [0..v_max] and return those satisfying all conditions of the chosen
     criterion without being a k-sequence.
 
+    This is the plain reference enumeration, the oracle that
+    `certify_criterion` is tested against: for each table, in
+    ``itertools.product`` order over the cells, then each m and then
+    each k, in sorted order, it records a hit when every finder of the
+    criterion yields nothing and the table is not a k-sequence.  So
+    results come in table order, then m, then k.
+
     An empty result over a grid is finite evidence for the criterion
     (both criteria are proved in their checkers' docstrings).  The
     bounds, and the total number of (table, m, k) triples against the
@@ -489,48 +503,17 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
     range(i_max + 1) x range(j_max + 1) and values in range(v_max + 1),
     without per-cell validation; each hit is rebuilt through the
     FiltrationTable constructor, so all that is returned is checked.
-
-    A finder yields its witnesses; the report takes the least, the
-    search stops at the first.  Each condition reads one of k, m or
-    m + k (first: k, m, m + k; second: m + k, k, m), so the search
-    builds, before enumerating, one test per (condition, value it
-    reads): the finder, a representative (m, k) and the bitmask of the
-    (m, k) cases that read that value, bit b for case b in the order m,
-    then k.  On each table an int ``live`` holds the undecided cases; a
-    test runs only when ``live & mask``, conditions in order, and a
-    witness clears its mask from ``live``.  So a finder runs on a table
-    for a value exactly when some case reading it passed every earlier
-    condition, at most once, and the table is done once ``live`` is 0.
-    The cases left in ``live`` go to `is_k_sequence` in case order, so
-    results come in table order, then m, then k.
     """
-    ms, ks = set(m_range), set(k_range)  # each range is read once
+    ms, ks = _read_once(m_range), _read_once(k_range)
     count_search_tables(i_max, j_max, v_max, ms, ks, budget)
     cases = [(m, k) for m in sorted(ms) for k in sorted(ks)]  # after the check
-
-    tests: list[list] = []  # [finder, m, k, mask], conditions in order
-    for _, finder, reads in _CONDITIONS[which]:
-        by_value: dict[int, list] = {}
-        for bit, (m, k) in enumerate(cases):
-            by_value.setdefault(reads(m, k), [finder, m, k, 0])[3] |= 1 << bit
-        tests += by_value.values()
-    every = (1 << len(cases)) - 1
-
     cells = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)]
     found: list[tuple[FiltrationTable, int, int]] = []
     for values in itertools.product(range(v_max + 1), repeat=len(cells)):
         data = dict(itertools.compress(zip(cells, values), values))
         table = FiltrationTable._of(data)
-        live = every
-        for finder, m, k, mask in tests:
-            if live & mask and next(finder(table, m, k), None) is not None:
-                live &= ~mask
-                if not live:
-                    break
-        while live:  # the surviving cases, lowest bit first
-            low = live & -live
-            live ^= low
-            m, k = cases[low.bit_length() - 1]
-            if not is_k_sequence(table, m, k):
+        for m, k in cases:
+            if (all(next(finder(table, m, k), None) is None for _, finder in _CONDITIONS[which])
+                    and not is_k_sequence(table, m, k)):
                 found.append((FiltrationTable(data), m, k))
     return found

@@ -151,6 +151,19 @@ def test_ksearch_budget_exit_on_a_huge_box(capsys):
     assert err == "error: search would visit more cases than the budget of 10000000\n"
 
 
+def test_ksearch_budget_exit_on_a_long_m_range(capsys):
+    # 10**8 values of m: refused before a set or a list of them exists
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "ksearch", "--m-max", "100000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: search would visit more cases than the budget of 10000000\n"
+    assert peak < 1 << 20
+
+
 def test_composite_rank_exit(capsys):
     code, _, err = run(capsys, "epoly", "--n", "4", "--g", "2")
     assert code == 2

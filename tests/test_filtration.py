@@ -1,4 +1,3 @@
-import collections
 import enum
 import functools
 import itertools
@@ -220,7 +219,7 @@ def test_every_condition_reports_its_first_witness(cells, m, k):
     table = FiltrationTable(cells)
     expected = reference_witnesses(cells, m, k)
     for criterion, conditions in filtration._CONDITIONS.items():
-        for label, finder, _ in conditions:
+        for label, finder in conditions:
             assert min(finder(table, m, k), default=None) == expected[(criterion.value, label)]
 
 
@@ -233,7 +232,7 @@ def test_every_finder_is_a_lazy_iterator(cells, m, k):
     # the search reads one witness, so a finder must not build them all
     table = FiltrationTable(cells)
     for conditions in filtration._CONDITIONS.values():
-        for label, finder, _ in conditions:
+        for label, finder in conditions:
             witnesses = finder(table, m, k)
             assert iter(witnesses) is witnesses, label
 
@@ -244,48 +243,9 @@ def test_the_first_witness_decides_as_the_report_does(cells, m, k):
     table = FiltrationTable(cells)
     for criterion, conditions in filtration._CONDITIONS.items():
         report = filtration._check(criterion, table, m, k)
-        for label, finder, _ in conditions:
+        for label, finder in conditions:
             holds = next(finder(table, m, k), None) is None
             assert holds == getattr(report, f"cond_{label}"), (criterion, label)
-
-
-MK_GRID = list(itertools.product(range(1, 6), range(0, 5)))
-
-
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(0, 5), st.integers(0, 4)),
-        st.integers(1, 3), max_size=10),
-    st.sampled_from(MK_GRID),
-)
-@settings(deadline=None)
-def test_each_finder_depends_only_on_what_it_reads(cells, mk):
-    # the search reuses a finder's verdict between (m, k) pairs with one
-    # reads value, so the finder must give the same witness for all of them
-    table = FiltrationTable(cells)
-    m, k = mk
-    for conditions in filtration._CONDITIONS.values():
-        for label, finder, reads in conditions:
-            witness = min(finder(table, m, k), default=None)
-            for m2, k2 in MK_GRID:
-                if reads(m2, k2) == reads(m, k):
-                    assert min(finder(table, m2, k2), default=None) == witness, (
-                        label, (m, k), (m2, k2))
-
-
-def reference_search(conditions, i_max, j_max, v_max, m_range, k_range):
-    """Every finder on every (table, m, k), with nothing reused."""
-    cells = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)]
-    found = []
-    for values in itertools.product(range(v_max + 1), repeat=len(cells)):
-        table = FiltrationTable(dict(zip(cells, values)))
-        for m in sorted(set(m_range)):
-            for k in sorted(set(k_range)):
-                if (all(min(finder(table, m, k), default=None) is None
-                        for _, finder, _ in conditions)
-                        and not is_k_sequence(table, m, k)):
-                    found.append((table, m, k))
-    return found
 
 
 SMALL_BOXES = [
@@ -297,78 +257,27 @@ SMALL_BOXES = [
 ]
 
 
-# Subsets of each criterion's conditions, by index: the three prefixes,
-# and the subsets that leave out the first or the middle condition.
-SUBSETS = [pytest.param(subset, id=name) for subset, name in [
-    ((0,), "1"), ((0, 1), "2"), ((0, 1, 2), "3"),
-    ((1,), "ii"), ((2,), "iii"), ((0, 2), "i-iii"), ((1, 2), "ii-iii")]]
-
-
 def cut_down(monkeypatch, criterion, subset):
     """Make the search read only the given conditions of the criterion."""
     conditions = dict(filtration._CONDITIONS)
     conditions[criterion] = tuple(conditions[criterion][c] for c in subset)
     monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
-    return conditions[criterion]
 
 
 @pytest.mark.parametrize("criterion", list(Criterion))
-@pytest.mark.parametrize("subset", SUBSETS)
-def test_search_equals_the_reference(monkeypatch, criterion, subset):
-    # a cut-down criterion lets non-k-sequences through, so the order of
-    # a non-empty result is compared too
-    conditions = cut_down(monkeypatch, criterion, subset)
+def test_search_returns_hits_in_table_then_m_then_k_order(monkeypatch, criterion):
+    # itertools.product enumerates the tables in the lexicographic order
+    # of their values over the cells, row by row, so the (values, m, k)
+    # keys of the hits must strictly increase.
+    cut_down(monkeypatch, criterion, (0,))
     total = 0
-    for box in SMALL_BOXES:
-        hits = falsification_search(criterion, *box)
-        assert hits == reference_search(conditions, *box)
+    for i_max, j_max, v_max, m_range, k_range in SMALL_BOXES:
+        hits = falsification_search(criterion, i_max, j_max, v_max, m_range, k_range)
+        cells = list(itertools.product(range(i_max + 1), range(j_max + 1)))
+        keys = [(tuple(table.get(*cell) for cell in cells), m, k) for table, m, k in hits]
+        assert keys == sorted(set(keys))
         total += len(hits)
-    if subset == (0,) or (criterion is Criterion.FIRST and subset == (0, 1)):
-        assert total
-
-
-def counting(conditions, calls):
-    """The conditions, each finder wrapped to count its calls by label."""
-    def counted(label, finder):
-        def call(table, m, k):
-            calls[label] += 1
-            return finder(table, m, k)
-        return call
-
-    return tuple((label, counted(label, finder), reads) for label, finder, reads in conditions)
-
-
-def reference_finder_calls(conditions, i_max, j_max, v_max, m_range, k_range):
-    """Per label, the (table, value read) pairs the search must run the
-    finder on: those where some (m, k) reading the value passes every
-    earlier condition, each evaluated afresh."""
-    cells = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)]
-    calls = collections.Counter()
-    for values in itertools.product(range(v_max + 1), repeat=len(cells)):
-        table = FiltrationTable(dict(zip(cells, values)))
-        for c, (label, _, reads) in enumerate(conditions):
-            calls[label] += len({
-                reads(m, k) for m in m_range for k in k_range
-                if all(next(finder(table, m, k), None) is None
-                       for _, finder, _ in conditions[:c])})
-    return calls
-
-
-@pytest.mark.parametrize("criterion, subset", [
-    (Criterion.FIRST, (0, 1, 2)), (Criterion.SECOND, (0, 1, 2)), (Criterion.FIRST, (1, 2))],
-    ids=["Criterion.FIRST", "Criterion.SECOND", "first-ii-iii"])
-def test_search_runs_each_finder_once_per_value_it_reads(monkeypatch, criterion, subset):
-    # Exactly the finder calls of the rule, none saved and none added: a
-    # finder runs on a table for a value iff some (m, k) reading that
-    # value passes every earlier condition.
-    conditions = cut_down(monkeypatch, criterion, subset)
-    box = (3, 2, 1, range(1, 4), range(0, 3))    # the ksearch default box
-    calls = collections.Counter()
-    filtration._CONDITIONS[criterion] = counting(conditions, calls)
-    hits = falsification_search(criterion, *box)
-    assert bool(hits) == (subset != (0, 1, 2))
-    assert calls == reference_finder_calls(conditions, *box)
-    assert set(calls) == {label for label, _, _ in conditions}
+    assert total
 
 
 def test_search_finds_nothing_on_the_small_grid():
@@ -393,6 +302,43 @@ def test_search_budget_guard_builds_nothing_large():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_search_budget_guard_builds_nothing_large_on_a_long_range():
+    # 10**8 values of m: a range is checked at its ends and counted from
+    # them, so the guard fires before a set or a list of it exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="budget of 10000000$"):
+            count_search_tables(3, 2, 1, range(1, 10 ** 8 + 1), range(0, 3))
+        with pytest.raises(BudgetExceededError, match="budget of 10000000$"):
+            falsification_search(Criterion.FIRST, 3, 2, 1, range(1, 10 ** 8 + 1), range(0, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("m_range", [
+    range(1, 4), range(3, 0, -1), range(1, 10, 4), range(9, 0, -4), range(5, 5),
+    range(0, 3), range(3, -1, -1)])
+def test_a_range_is_checked_and_counted_as_the_list_of_its_values(m_range):
+    def outcome(ms):
+        try:
+            return count_search_tables(1, 0, 1, ms, [0, 1])
+        except ValueError as error:
+            return type(error), str(error)
+
+    assert outcome(m_range) == outcome(list(m_range))
+
+
+def test_a_range_past_sys_maxsize_is_counted_exactly():
+    # such a range has no len(); 2 tables x 14285714285714285715 values of m
+    huge = range(1, 10 ** 20 + 1, 7)
+    cases = 2 * 14285714285714285715
+    assert count_search_tables(0, 0, 1, huge, [0], budget=cases) == 2
+    with pytest.raises(BudgetExceededError):
+        count_search_tables(0, 0, 1, huge, [0], budget=cases - 1)
 
 
 def test_search_argument_validation():
@@ -509,7 +455,7 @@ def test_each_conditions_equalities_hold_iff_its_finder_finds_nothing(boxed, m, 
     i_max, j_max, table = boxed
     rows, diagonals = filtration._box_lines(i_max, j_max)
     for criterion, conditions in filtration._CONDITIONS.items():
-        for label, finder, _ in conditions:
+        for label, finder in conditions:
             equalities = filtration._EQUALITIES[criterion][label](rows, diagonals, m, k)
             holds = all(sum(table.get(*cell) for cell in plus)
                         == sum(table.get(*cell) for cell in minus)
