@@ -20,8 +20,8 @@ for n, g in [(2, 2), (3, 2), (2, 3)]:
     print(f"  Euler characteristic: {euler_variant(params)}")
     print()
 
-# Everything is exact: coefficients are rationals that happen to be
-# integers, and evaluation keeps them that way.
+# Everything is exact: every coefficient is an int, so summing the
+# terms at an integer q gives an exact int.
 poly = closed_e(ModuliParams(5, 2))
-print("q = 1 gives the Euler number:", poly.eval_at(1))
-print("q = 4 evaluates exactly:     ", poly.eval_at(4))
+print("q = 1 gives the Euler number:", sum(c for _, c in poly.terms()))
+print("q = 4 evaluates exactly:     ", sum(c * 4 ** e for e, c in poly.terms()))

@@ -41,7 +41,6 @@ from .hookchar import (
 )
 from .laurent import (
     BiLaurentPoly,
-    EvalDomainError,
     InexactDivisionError,
     LaurentPoly,
 )

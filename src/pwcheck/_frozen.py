@@ -11,7 +11,8 @@ check it saw fail.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import re
+from collections.abc import Iterable, Mapping
 
 
 class DomainError(ValueError):
@@ -28,9 +29,27 @@ def require_int(value: object, low: int, message: str) -> None:
         raise DomainError(message)
 
 
+def read_int(value: object) -> int | None:
+    """value as an int if it is an exact int or the canonical decimal str
+    of one, as the JSON form writes it (no leading zero, no "-0"); else None."""
+    if type(value) is int or isinstance(value, str) and re.fullmatch(r"0|-?[1-9][0-9]*", value):
+        return int(value)
+    return None
+
+
 def is_int_pair(key: object) -> bool:
     """True when key is a tuple of two exact ints."""
     return type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int
+
+
+def dict_of_pairs(pairs: Iterable[tuple]) -> dict:
+    """dict(pairs) for a JSON reader's list form, but a repeated key raises ValueError."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"the list repeats the key {key!r}")
+        data[key] = value
+    return data
 
 
 def compact_json(obj: object) -> str:

@@ -9,10 +9,9 @@ refinement, and the variant Betti numbers read off from it.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Mapping
 
-from ._frozen import DomainError, VerificationError, require_int
+from ._frozen import DomainError, VerificationError, read_int, require_int
 from .filtration import _Graded, _Record
 from .laurent import BiLaurentPoly, LaurentPoly
 
@@ -138,10 +137,10 @@ class CohomologyProfile(_Graded):
 
     @staticmethod
     def _key(degree: int | str) -> int:
-        if (type(degree) is int  # or the str to_json_obj writes for one
-                or isinstance(degree, str) and re.fullmatch(r"0|-?[1-9][0-9]*", degree)):
-            return int(degree)
-        raise ValueError(f"degree {degree!r} must be an int or its decimal str")
+        number = read_int(degree)  # an int, or the str to_json_obj writes for one
+        if number is None:
+            raise ValueError(f"degree {degree!r} must be an int or its decimal str")
+        return number
 
     def __getitem__(self, degree: int) -> int:
         return self._c.get(degree, 0)
@@ -186,10 +185,10 @@ def variant_betti(params: ModuliParams) -> CohomologyProfile:
     for exponent, coeff in e.terms():
         deg = 2 * params.dim - exponent
         value = coeff if deg % 2 == 0 else -coeff
-        if value.denominator != 1 or value <= 0:
+        if value <= 0:
             raise InconsistentFormulaError(
                 f"degree {deg} would get dimension {value}")
-        dims[deg] = int(value)
+        dims[deg] = value
     return CohomologyProfile(dims)
 
 

@@ -18,7 +18,8 @@ import itertools
 from collections.abc import Iterable, Iterator
 
 from ._frozen import (
-    DomainError, Frozen, SparseMap, VerificationError, is_int_pair, require_int)
+    DomainError, Frozen, SparseMap, VerificationError, dict_of_pairs, is_int_pair,
+    require_int)
 
 # The most (table, m, k) cases a search visits unless given a budget.
 DEFAULT_BUDGET = 10 ** 7
@@ -132,7 +133,7 @@ class FiltrationTable(_Graded):
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "FiltrationTable":
-        return cls({(i, j): v for i, j, v in obj})
+        return cls(dict_of_pairs(((i, j), v) for i, j, v in obj))
 
 
 def _require_mk(m: int, k: int) -> None:

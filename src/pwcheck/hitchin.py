@@ -69,10 +69,10 @@ def weight_table(params: ModuliParams) -> FiltrationTable:
         degree = 2 * m + c - e
         value = coeff if degree % 2 == 0 else -coeff
         level = 2 * m - e
-        if value.denominator != 1 or value <= 0 or level <= c:
+        if value <= 0 or level <= c:
             raise InconsistentFormulaError(
                 f"exponent {e} gives level {level}, dimension {value}")
-        cells[(level, c)] = int(value)
+        cells[(level, c)] = value
     return FiltrationTable(cells)
 
 

@@ -1,11 +1,10 @@
-"""Exact Laurent polynomials in one or two variables over the rationals.
+"""Exact Laurent polynomials in one or two variables over the integers.
 
-Exponents are integers: the key ``3`` means ``q**3``.  A coefficient is
-an ``int`` when integral and a ``fractions.Fraction`` (denominator > 1)
-otherwise, and ``fractions`` is imported only where one is made; no
-floats ever appear, so equality is exact.  Both kinds print, serialise
-and hash alike: ``str(3) == str(Fraction(3))``.  For compatibility the
-JSON form writes each exponent doubled and reads back only even keys.
+Exponents are integers: the key ``3`` means ``q**3``.  Every coefficient
+is an exact ``int``, never a float, so equality is exact; a division that
+would leave the integers raises InexactDivisionError.  The JSON form
+writes each coefficient as its decimal str, and each exponent doubled
+for compatibility; it reads back only even keys.
 
 >>> p = LaurentPoly({1: 1, 0: -2, -1: 1})      # q - 2 + q**-1
 >>> print(p * p)
@@ -16,42 +15,27 @@ q - 2 + q^-1
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterator
 
-from ._frozen import SparseMap, is_int_pair, require_int
+from ._frozen import (
+    SparseMap, VerificationError, dict_of_pairs, is_int_pair, read_int, require_int)
 
 
-class EvalDomainError(ValueError):
-    """Evaluation point is outside the domain (0 to a negative power)."""
+class InexactDivisionError(VerificationError):
+    """A division left the integers: a nonzero remainder."""
 
 
-class InexactDivisionError(ArithmeticError):
-    """Laurent division left a nonzero remainder."""
-
-
-def _coerce(value: str | numbers.Rational) -> numbers.Rational:
-    """value as an exact int when integral, else as a Fraction."""
-    if type(value) is int:
-        return value
-    if isinstance(value, (float, bool)):
-        raise TypeError(f"{type(value).__name__} coefficients are not allowed; use Fraction")
-    from fractions import Fraction
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _exact_quotient(x: numbers.Rational, y: numbers.Rational) -> numbers.Rational:
-    """x / y without a float: an int when y divides x, else a Fraction."""
-    if type(x) is int and type(y) is int and x % y == 0:
-        return x // y
-    from fractions import Fraction
-    return _coerce(Fraction(x) / y)
+def _exact_quotient(x: int, y: int) -> int:
+    """x / y as an int; InexactDivisionError when y does not divide x."""
+    quotient, remainder = divmod(x, y)
+    if remainder:
+        raise InexactDivisionError(f"coefficient {x} is not divisible by {y}")
+    return quotient
 
 
 def _normal(data: dict) -> dict:
-    """data without its zero coefficients, an integral Fraction as its int."""
-    return {k: c if type(c) is int else _coerce(c) for k, c in data.items() if c}
+    """data without its zero coefficients."""
+    return {k: c for k, c in data.items() if c}
 
 
 def _from_twice(key: object) -> int:
@@ -67,7 +51,7 @@ def _format_q_power(e: int) -> str:
     return "q" if e == 1 else f"q^{e}"
 
 
-def _format_terms(pairs: list[tuple[str, numbers.Rational]]) -> str:
+def _format_terms(pairs: list[tuple[str, int]]) -> str:
     out: list[str] = []
     for power, coeff in pairs:
         mag = abs(coeff)
@@ -85,7 +69,7 @@ def _format_terms(pairs: list[tuple[str, numbers.Rational]]) -> str:
 
 
 class _SparsePoly(SparseMap):
-    """Immutable map from exponent keys to nonzero exact coefficients.
+    """Immutable map from exponent keys to nonzero int coefficients.
 
     The code of LaurentPoly and BiLaurentPoly that does not depend on the
     number of variables.  A subclass sets ``_key``, which checks a key and
@@ -95,8 +79,12 @@ class _SparsePoly(SparseMap):
 
     __slots__ = ()
 
-    def _value(self, key: object, value: str | numbers.Rational) -> numbers.Rational:
-        return _coerce(value)
+    def _value(self, key: object, value: int | str) -> int:
+        number = read_int(value)  # an int, or the decimal str the JSON form writes
+        if number is None:
+            error = ValueError if isinstance(value, str) else TypeError
+            raise error(f"coefficient {value!r} must be an int or its decimal str")
+        return number
 
     @classmethod
     def zero(cls) -> _SparsePoly:
@@ -106,26 +94,26 @@ class _SparsePoly(SparseMap):
     def one(cls) -> _SparsePoly:
         return cls._of({cls._UNIT: 1})
 
-    def terms(self) -> Iterator[tuple[object, numbers.Rational]]:
+    def terms(self) -> Iterator[tuple[object, int]]:
         """(key, coefficient) pairs in increasing key order."""
         for key in sorted(self._c):
             yield key, self._c[key]
 
     def _divide_coefficients(self, n: int) -> _SparsePoly:
-        """This polynomial with every coefficient divided by n, exactly."""
+        """This polynomial with every coefficient divided by n; raises
+        InexactDivisionError unless n divides each."""
         return self._of({k: _exact_quotient(c, n) for k, c in self._c.items()})
 
     def _as_poly(self, other: object) -> _SparsePoly | None:
-        """other as this class, a rational scalar as a constant, else None."""
+        """other as this class, an int scalar as a constant, else None."""
         if isinstance(other, type(self)):
             return other
-        if isinstance(other, numbers.Rational):
+        if type(other) is int:
             return type(self)({self._UNIT: other})
         return None
 
     def __eq__(self, other: object) -> bool:
-        # A bool is refused as a coefficient, so no polynomial equals one.
-        rhs = None if type(other) is bool else self._as_poly(other)
+        rhs = self._as_poly(other)
         if rhs is None:
             return NotImplemented
         return self._c == rhs._c
@@ -174,8 +162,11 @@ class LaurentPoly(_SparsePoly):
     The constructor takes a mapping from exponents to coefficients.
     Zero coefficients are dropped, so the zero polynomial is falsy.
 
-    >>> LaurentPoly({2: 3, 0: "1/2"})
-    LaurentPoly({0: Fraction(1, 2), 2: 3})
+    Coefficients are ints; the decimal str of one, as the JSON form
+    writes it, is read as that int.
+
+    >>> LaurentPoly({2: 3, 0: "-1"})
+    LaurentPoly({0: -1, 2: 3})
     >>> bool(LaurentPoly({}))
     False
     """
@@ -219,7 +210,7 @@ class LaurentPoly(_SparsePoly):
         rhs = self._as_poly(other)
         if rhs is None:
             return NotImplemented
-        data: dict[int, numbers.Rational] = {}
+        data: dict[int, int] = {}
         for ta, ca in self._c.items():
             for tb, cb in rhs._c.items():
                 t = ta + tb
@@ -232,7 +223,8 @@ class LaurentPoly(_SparsePoly):
         return self._power(n)
 
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / divisor; InexactDivisionError on remainder.
+        """Exact quotient self / divisor; InexactDivisionError unless it has
+        int coefficients.
 
         >>> num = LaurentPoly({2: 1, 0: -1})
         >>> den = LaurentPoly({1: 1, 0: 1})
@@ -248,10 +240,8 @@ class LaurentPoly(_SparsePoly):
         # Dense long division on coefficient lists shifted to start at 0.
         a = [self._c.get(t, 0) for t in range(a_lo, a_hi + 1)]
         b = [divisor._c.get(t, 0) for t in range(b_lo, b_hi + 1)]
-        if len(a) < len(b):
-            raise InexactDivisionError("divisor does not divide exactly")
         lead = b[-1]
-        quot: dict[int, numbers.Rational] = {}
+        quot: dict[int, int] = {}
         for i in range(len(a) - len(b), -1, -1):
             c = _exact_quotient(a[i + len(b) - 1], lead)
             if c:
@@ -279,19 +269,6 @@ class LaurentPoly(_SparsePoly):
         """
         return self._c == self.reverse(weight)._c
 
-    def eval_at(self, x: str | numbers.Rational) -> numbers.Rational:
-        """Evaluate at a rational point; negative exponents require x != 0.
-
-        >>> LaurentPoly({-1: 3}).eval_at(5)
-        Fraction(3, 5)
-        """
-        # A Fraction base keeps x ** -k exact; an int base would give a float.
-        from fractions import Fraction
-        x = Fraction(_coerce(x))
-        if x == 0 and any(t < 0 for t in self._c):
-            raise EvalDomainError("negative exponent at x = 0")
-        return sum((c * x ** t for t, c in self._c.items()), Fraction(0))
-
     # -- wire format ---------------------------------------------------
 
     def to_json_obj(self) -> list[list]:
@@ -300,7 +277,7 @@ class LaurentPoly(_SparsePoly):
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "LaurentPoly":
-        return cls({_from_twice(t): c for t, c in obj})
+        return cls(dict_of_pairs((_from_twice(t), c) for t, c in obj))
 
 
 class BiLaurentPoly(_SparsePoly):
@@ -349,7 +326,7 @@ class BiLaurentPoly(_SparsePoly):
         rhs = self._as_poly(other)
         if rhs is None:
             return NotImplemented
-        data: dict[tuple[int, int], numbers.Rational] = {}
+        data: dict[tuple[int, int], int] = {}
         for (au, av), ca in self._c.items():
             for (bu, bv), cb in rhs._c.items():
                 k = (au + bu, av + bv)
@@ -371,7 +348,7 @@ class BiLaurentPoly(_SparsePoly):
         >>> print(BiLaurentPoly({(2, 1): 3}).diagonal())
         3*q^3
         """
-        data: dict[int, numbers.Rational] = {}
+        data: dict[int, int] = {}
         for (a, b), c in self._c.items():
             t = a + b
             data[t] = data.get(t, 0) + c
@@ -382,4 +359,4 @@ class BiLaurentPoly(_SparsePoly):
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "BiLaurentPoly":
-        return cls({(_from_twice(a), _from_twice(b)): c for a, b, c in obj})
+        return cls(dict_of_pairs(((_from_twice(a), _from_twice(b)), c) for a, b, c in obj))

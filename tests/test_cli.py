@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pwcheck.cli as cli
+import pwcheck.epoly as epoly
 import pwcheck.filtration as filtration
 from pwcheck import Criterion, IdentityFailureError, NotPrimeError
 from pwcheck.cli import main
@@ -426,6 +427,18 @@ def test_only_the_two_roots_map_to_exits_1_and_2(capsys, monkeypatch, verb, name
 
     monkeypatch.setattr(cli, name, raise_it)
     assert run(capsys, *_argv(verb)) == (code, "", f"{prefix}forced\n")
+
+
+@pytest.mark.parametrize("verb", ["epoly", "betti", "pw"])
+def test_a_non_integral_one_over_n_is_a_verification_failure(capsys, monkeypatch, verb):
+    # A bracket off by one makes closed_e's exact division by n leave the
+    # ints: a failed check, never a coefficient printed as a fraction.
+    bracket = epoly.variant_bracket
+    monkeypatch.setattr(epoly, "variant_bracket", lambda n, g: bracket(n, g) + 1)
+    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
+    code, out, err = run(capsys, verb, "--n", "3", "--g", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, plain", [

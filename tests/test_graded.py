@@ -3,6 +3,7 @@ the key and value checks of the graded and polynomial constructors, and
 the JSON readers, which accept only what the constructors accept."""
 
 import enum
+import re
 
 import pytest
 
@@ -95,6 +96,13 @@ class Small(enum.IntEnum):
     # A cell index is a pair, as a BiLaurentPoly key is, before its sign is read.
     (FiltrationTable, {2: 1}, "cell index 2 must be a pair of nonnegative ints"),
     (FiltrationTable, {(0, 0, 0): 1}, "cell index (0, 0, 0) must be a pair of nonnegative ints"),
+    # A str coefficient is read only in the canonical decimal form of an int.
+    (LaurentPoly, {0: "1/2"}, "coefficient '1/2' must be an int or its decimal str"),
+    (LaurentPoly, {0: "-0"}, "coefficient '-0' must be an int or its decimal str"),
+    (LaurentPoly, {0: "+1"}, "coefficient '+1' must be an int or its decimal str"),
+    (BiLaurentPoly, {(0, 0): "3/1"}, "coefficient '3/1' must be an int or its decimal str"),
+    (BiLaurentPoly, {(0, 0): "07"}, "coefficient '07' must be an int or its decimal str"),
+    (BiLaurentPoly, {(0, 0): "1.5"}, "coefficient '1.5' must be an int or its decimal str"),
 ])
 def test_validation_messages(cls, cells, message):
     with pytest.raises(ValueError) as info:
@@ -135,7 +143,25 @@ def test_validation_messages(cls, cells, message):
     (BiLaurentPoly, '[[true,0,"1"]]', ValueError),
     (BiLaurentPoly, '[[2.0,0,"1"]]', ValueError),
     (BiLaurentPoly, '[["0",0,"1"]]', ValueError),
+    # A coefficient is written as the decimal str of an int, nothing else.
+    (LaurentPoly, '[[0,"1/2"]]', ValueError),
+    (LaurentPoly, '[[0,"-0"]]', ValueError),
+    (BiLaurentPoly, '[[0,0,"3/1"]]', ValueError),
+    (BiLaurentPoly, '[[0,0,"1.0"]]', ValueError),
 ])
 def test_json_readers_reject_what_the_constructors_reject(cls, text, error):
     with pytest.raises(error):
+        cls.from_json(text)
+
+
+@pytest.mark.parametrize("cls, text, key", [
+    (LaurentPoly, '[[2,"1"],[2,"-1"]]', 1),
+    (LaurentPoly, '[[-2,"1"],[0,"5"],[-2,"1"]]', -1),
+    (BiLaurentPoly, '[[2,0,"1"],[2,0,"-1"]]', (1, 0)),
+    (FiltrationTable, "[[0,0,1],[0,0,2]]", (0, 0)),
+    (FiltrationTable, "[[0,0,0],[0,0,2]]", (0, 0)),
+])
+def test_a_list_form_reader_refuses_a_repeated_key(cls, text, key):
+    # A dict would keep the last entry; the reader names the key instead.
+    with pytest.raises(ValueError, match=f"^the list repeats the key {re.escape(repr(key))}$"):
         cls.from_json(text)

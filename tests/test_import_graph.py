@@ -4,8 +4,8 @@ Every CLI call is a fresh interpreter, so each module the package imports
 is paid for on every call.  `dataclasses` alone pulled in `inspect`,
 `ast`, `dis`, `tokenize` and `linecache`, about 10 ms of start-up, and
 `typing` is the next largest; `json` is needed only to write or read
-JSON, and `fractions` (with `decimal`, about 3.5 ms) only where a
-coefficient is a proper fraction, which no verb makes.  `argparse`
+JSON.  Every coefficient is an int, so `fractions` (with `decimal`, about
+3.5 ms) and `numbers` are never needed.  `argparse`
 (which loads `gettext` and, on its first message, `locale`) is about
 7 ms of start-up with its parser built, so a plain command line is
 parsed without it.  The child runs under `python -S`, because a `site`
@@ -72,7 +72,7 @@ def test_a_verify_call_loads_no_json():
     pytest.param(["ksearch"], id="ksearch"),
 ])
 def test_no_call_loads_fractions_or_decimal(argv):
-    assert _loaded(["fractions", "decimal"], argv) == "[]"
+    assert _loaded(["fractions", "decimal", "numbers"], argv) == "[]"
 
 
 PLAIN = [

@@ -4,7 +4,6 @@ the same immutability and copying for the four other value classes."""
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -132,8 +131,8 @@ def test_assignment_error_names_the_class(cls, values, text):
 
 # A builder of one value of each of the four other value classes.
 VALUES = [
-    pytest.param(lambda: LaurentPoly({2: 3, 0: Fraction(1, 2), -1: -1}), id="laurent"),
-    pytest.param(lambda: BiLaurentPoly({(1, 0): 3, (0, -2): Fraction(1, 2)}), id="bilaurent"),
+    pytest.param(lambda: LaurentPoly({2: 3, 0: -12, -1: -1}), id="laurent"),
+    pytest.param(lambda: BiLaurentPoly({(1, 0): 3, (0, -2): 5}), id="bilaurent"),
     pytest.param(lambda: FiltrationTable({(1, 2): 3, (0, 0): 1}), id="table"),
     pytest.param(lambda: CohomologyProfile({-2: 1, 3: 4}), id="profile"),
 ]

@@ -3,8 +3,8 @@
 The modules use ``from __future__ import annotations``, so an annotation
 is a string until something such as a documentation tool asks for it
 with ``typing.get_type_hints``; a name the module does not bind then
-raises ``NameError``.  ``fractions`` is imported only where a proper
-fraction is made, so an annotation names ``numbers.Rational`` instead.
+raises ``NameError``.  An annotation names a builtin, such as ``int``
+for a coefficient, or a name its module imports.
 """
 
 import importlib
