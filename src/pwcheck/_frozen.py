@@ -43,7 +43,7 @@ def is_int_pair(key: object) -> bool:
 
 
 def dict_of_pairs(pairs: Iterable[tuple]) -> dict:
-    """dict(pairs) for a JSON reader's list form, but a repeated key raises ValueError."""
+    """dict(pairs) for a JSON reader, list form or object, but a repeated key raises ValueError."""
     data: dict = {}
     for key, value in pairs:
         if key in data:
@@ -131,4 +131,4 @@ class SparseMap(Frozen):
     @classmethod
     def from_json(cls, text: str) -> SparseMap:
         import json
-        return cls.from_json_obj(json.loads(text))
+        return cls.from_json_obj(json.loads(text, object_pairs_hook=dict_of_pairs))

@@ -3,16 +3,17 @@
 A table assigns a nonnegative integer to each bidegree (i, j), almost
 all zero.  A k-sequence is a table supported on the single column
 j = k whose column is symmetric about row m.  The two criteria give
-finite lists of linear conditions that force a table to be one; the
-checkers here evaluate them exactly.  `certify_criterion` checks the
-proof that they force it, as a certificate on a box, for tables of any
-entries; the falsification search is the plain reference enumeration of
-the small tables of a box, the oracle the certificate is tested against.
+finite lists of linear conditions that force a table to be one.  Each
+condition is written once, in `_CONDITIONS`, as a builder of linear
+equalities: the checkers evaluate them exactly on a table, and
+`certify_criterion` checks the proof that they force a k-sequence, as a
+certificate on a box, for tables of any entries.  The falsification
+search is the plain reference enumeration of the small tables of a box,
+the oracle the certificate is tested against.
 """
 
 from __future__ import annotations
 
-import collections
 import enum
 import itertools
 from collections.abc import Iterable, Iterator
@@ -109,7 +110,7 @@ class FiltrationTable(_Graded):
     meaningful near the boundary.
     """
 
-    __slots__ = ()
+    __slots__ = ("_support",)  # `_lines` of the support, built on first use
     _BAD_VALUE = "value at {} must be a nonnegative int"
     # Own binding, not inherited: perfbench/tracer.py patches vars(cls).
     __init__ = SparseMap.__init__
@@ -122,6 +123,14 @@ class FiltrationTable(_Graded):
 
     def get(self, i: int, j: int) -> int:
         return self._c.get((i, j), 0)
+
+    def _support_lines(self) -> tuple[dict, dict]:
+        # Built once per table: every finder reads it, at every (m, k).
+        try:
+            return self._support
+        except AttributeError:
+            object.__setattr__(self, "_support", _lines(self._c))
+            return self._support
 
     def to_csv(self) -> str:
         lines = ["i,j,value"]
@@ -152,76 +161,90 @@ def is_k_sequence(table: FiltrationTable, m: int, k: int) -> bool:
     return True
 
 
-# The conditions of each criterion, as violation finders sharing the
-# signature (table, m, k).  A finder yields its witnesses; the report
-# takes the least, the search stops at the first.  Both sides of every
-# comparison read 0 unless a stored cell or a nonzero row/antidiagonal
-# sum is involved, so walking the support alone finds every failure.
+# The conditions of each criterion, each written once as a builder of
+# linear equalities over a set of cells.  A builder takes the rows and
+# the antidiagonals of the set, as dicts from index to the list of their
+# cells, and (m, k); it yields (index, plus, minus): the cells in plus
+# sum to the cells in minus.  A line the dicts lack reads as empty.  The
+# certificate reads a builder on the lines of a box, a finder on the
+# lines of a table's support: a failing equality has a stored cell or a
+# nonzero line on one side, so the support's lines give it, or, for a
+# mirror, its twin with the same witness.
 
 
-def _line_sums(table: FiltrationTable) -> tuple[collections.Counter, collections.Counter]:
-    """Row sums and antidiagonal sums, keyed by row i and by i + j."""
-    rows, diagonals = collections.Counter(), collections.Counter()
-    for (i, j), v in table._c.items():
-        rows[i] += v
-        diagonals[i + j] += v
+def _lines(cells: Iterable[tuple[int, int]]) -> tuple[dict, dict]:
+    """The rows and the antidiagonals of the cells, keyed by i and by i + j."""
+    rows: dict = {}
+    diagonals: dict = {}
+    for i, j in cells:
+        rows.setdefault(i, []).append((i, j))
+        diagonals.setdefault(i + j, []).append((i, j))
     return rows, diagonals
 
 
-def _first_cond_i(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
-    # Nothing strictly left of column k.
-    for i, j in table._c:
-        if j < k:
-            yield i, j
+def _mirror(centre):
+    """The builder of: cell (i, j) equals cell (2 * centre(m, k, j) - i, j)."""
+    def build(rows: dict, diagonals: dict, m: int, k: int) -> Iterator[tuple]:
+        for row in rows.values():
+            for i, j in row:
+                r = 2 * centre(m, k, j) - i
+                yield (i, j), [(i, j)], [(r, j)] if r in rows else []
+    return build
 
 
-def _first_cond_ii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
-    # Every column symmetric about row m: v[m-i, j] == v[m+i, j].
-    get = table._c.get
-    for (i, j), v in table._c.items():
-        if get((2 * m - i, j), 0) != v:
-            yield abs(i - m), j
+_ZEROS = itertools.repeat(0)  # the default of every read in `map(get, cells, _ZEROS)`
 
 
-def _first_cond_iii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
-    # Antidiagonal sums symmetric about m + k.
-    _, sums = _line_sums(table)
-    c = m + k
-    for t in sums:
-        if sums[2 * c - t] != sums[t]:
-            yield (abs(t - c),)
+def _finder(build, witness):
+    """The violation finder of the condition `build` writes, with the
+    signature (table, m, k): it yields witness(index, m, k), lazily, for
+    each equality the table breaks.  A report takes the least witness,
+    the search stops at the first, and `certify_criterion` reads the
+    equalities from the finder's ``build``."""
+    def finder(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
+        get = table._c.get
+        for index, plus, minus in build(*table._support_lines(), m, k):
+            if sum(map(get, plus, _ZEROS)) != sum(map(get, minus, _ZEROS)):
+                yield witness(index, m, k)
+    finder.build = build
+    return finder
 
 
-def _second_cond_i(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
-    # Within column j, rows mirror about m + k - j.  A failing pair of
-    # rows is witnessed at its smaller row that is >= 0.
-    get = table._c.get
-    for (i, j), v in table._c.items():
-        r = 2 * (m + k - j) - i
-        if get((r, j), 0) != v:
-            yield (min(i, r) if r >= 0 else i), j
-
-
-def _second_cond_ii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
-    # Antidiagonal k + l carries the same mass as row l, for l >= 0.
-    rows, sums = _line_sums(table)
-    for l in set(rows).union(t - k for t in sums if t >= k):
-        if sums[k + l] != rows[l]:
-            yield (l,)
-
-
-def _second_cond_iii(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
-    # Row sums symmetric about m.
-    rows, _ = _line_sums(table)
-    for i in rows:
-        if rows[2 * m - i] != rows[i]:
-            yield (abs(i - m),)
+def _pair_witness(cell: tuple[int, int], m: int, k: int) -> tuple[int, int]:
+    # A failing pair of second/(i) is witnessed at its smaller row that is >= 0.
+    i, j = cell
+    r = 2 * (m + k - j) - i
+    return (min(i, r) if r >= 0 else i), j
 
 
 # Per criterion, its conditions in order, as (label, finder).
 _CONDITIONS = {
-    Criterion.FIRST: (("i", _first_cond_i), ("ii", _first_cond_ii), ("iii", _first_cond_iii)),
-    Criterion.SECOND: (("i", _second_cond_i), ("ii", _second_cond_ii), ("iii", _second_cond_iii)),
+    Criterion.FIRST: (
+        # Nothing strictly left of column k.
+        ("i", _finder(lambda rows, diagonals, m, k: (
+            ((i, j), [(i, j)], []) for row in rows.values() for i, j in row if j < k),
+            lambda cell, m, k: cell)),
+        # Every column symmetric about row m.
+        ("ii", _finder(_mirror(lambda m, k, j: m),
+                       lambda cell, m, k: (abs(cell[0] - m), cell[1]))),
+        # Antidiagonal sums symmetric about m + k.
+        ("iii", _finder(lambda rows, diagonals, m, k: (
+            (t, line, diagonals.get(2 * (m + k) - t, [])) for t, line in diagonals.items()),
+            lambda t, m, k: (abs(t - m - k),))),
+    ),
+    Criterion.SECOND: (
+        # Within column j, rows mirror about m + k - j.
+        ("i", _finder(_mirror(lambda m, k, j: m + k - j), _pair_witness)),
+        # Antidiagonal k + l carries the same mass as row l, for l >= 0.
+        ("ii", _finder(lambda rows, diagonals, m, k: (
+            (l, diagonals.get(k + l, []), rows.get(l, []))
+            for l in rows.keys() | {t - k for t in diagonals if t >= k}),
+            lambda l, m, k: (l,))),
+        # Row sums symmetric about m.
+        ("iii", _finder(lambda rows, diagonals, m, k: (
+            (i, line, rows.get(2 * m - i, [])) for i, line in rows.items()),
+            lambda i, m, k: (abs(i - m),))),
+    ),
 }
 
 
@@ -286,56 +309,6 @@ def check_second_criterion(table: FiltrationTable, m: int, k: int) -> CriterionR
     return _check(Criterion.SECOND, table, m, k)
 
 
-# The two proofs above as certificates on a box [0..i_max] x [0..j_max].
-# On a box each condition is a finite list of linear equalities over the
-# cells, a read outside the box being 0 as the finders read it.  An
-# equality is (index, plus, minus): the cells in plus sum to the cells
-# in minus.  A builder takes the box's rows and antidiagonals, each a
-# list of its cells, and (m, k), and yields every equality that has a
-# box cell.
-
-
-def _box_lines(i_max: int, j_max: int) -> tuple[list, list]:
-    """The rows and the antidiagonals of the box, each a list of its cells."""
-    rows = [[(i, j) for j in range(j_max + 1)] for i in range(i_max + 1)]
-    diagonals = [[(i, t - i) for i in range(max(0, t - j_max), min(t, i_max) + 1)]
-                 for t in range(i_max + j_max + 1)]
-    return rows, diagonals
-
-
-def _line(lines: list, index: int) -> list:
-    return lines[index] if 0 <= index < len(lines) else []
-
-
-def _mirror_equalities(rows: list, centre) -> Iterator[tuple]:
-    # Each cell (i, j) equals (2 * centre(j) - i, j).
-    for row in rows:
-        for i, j in row:
-            r = 2 * centre(j) - i
-            yield (i, j), [(i, j)], [(r, j)] if 0 <= r < len(rows) else []
-
-
-# Per criterion and condition label, the equality builder.
-_EQUALITIES = {
-    Criterion.FIRST: {
-        "i": lambda rows, diagonals, m, k: (
-            ((i, j), [(i, j)], []) for row in rows for i, j in row if j < k),
-        "ii": lambda rows, diagonals, m, k: _mirror_equalities(rows, lambda j: m),
-        "iii": lambda rows, diagonals, m, k: (
-            (t, diagonals[t], _line(diagonals, 2 * (m + k) - t))
-            for t in range(len(diagonals))),
-    },
-    Criterion.SECOND: {
-        "i": lambda rows, diagonals, m, k: _mirror_equalities(rows, lambda j: m + k - j),
-        "ii": lambda rows, diagonals, m, k: (
-            (l, _line(diagonals, k + l), _line(rows, l))
-            for l in range(max(len(rows), len(diagonals) - k))),
-        "iii": lambda rows, diagonals, m, k: (
-            (i, rows[i], _line(rows, 2 * m - i)) for i in range(len(rows))),
-    },
-}
-
-
 def _skew_multiplier(cell: tuple[int, int], m: int, k: int) -> int:
     # 2(j - k)(i - r) on one cell of each mirror pair of second/(i), r = m + k - j.
     i, j = cell
@@ -343,7 +316,10 @@ def _skew_multiplier(cell: tuple[int, int], m: int, k: int) -> int:
     return 2 * (j - k) * (i - r) if i < r or i > 2 * r else 0
 
 
-# Per criterion: the condition whose equalities on column k must be the
+# The two proofs above as certificates on a box [0..i_max] x [0..j_max],
+# where each condition is the finite list of equalities its builder
+# yields on the box's lines, a read outside the box being 0.  Per
+# criterion: the condition whose equalities on column k must be the
 # k-sequence mirror about m, and the proof's stages.  A stage maps a
 # condition label to its multiplier (index, m, k).  A mirror equality
 # gets a multiplier on one cell of each mirror pair only, so that the
@@ -384,18 +360,17 @@ def certify_criterion(which: Criterion, i_max: int, j_max: int, m_range: Iterabl
     the cell and its coefficient.
     """
     ms, ks = _require_box((i_max, j_max), m_range, k_range)
-    rows, diagonals = _box_lines(i_max, j_max)
-    cells = [cell for row in rows for cell in row]
+    cells = list(itertools.product(range(i_max + 1), range(j_max + 1)))
+    rows, diagonals = _lines(cells)
     column, stages = _CERTIFICATES[which]
-    builders = _EQUALITIES[which]
     for m in sorted(ms):
         for k in sorted(ks):
             def failure(cell: tuple[int, int], what: str) -> VerificationError:
                 return VerificationError(f"{which.value} criterion certificate fails at "
                                          f"m={m}, k={k}, cell {cell}: {what}")
 
-            equalities = {label: list(builders[label](rows, diagonals, m, k))
-                          for label, _ in _CONDITIONS[which]}
+            equalities = {label: list(finder.build(rows, diagonals, m, k))
+                          for label, finder in _CONDITIONS[which]}
             forced: set[tuple[int, int]] = set()
             for stage in stages:
                 coefficient = dict.fromkeys(cells, 0)

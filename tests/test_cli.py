@@ -361,9 +361,10 @@ def test_ksearch_with_v_max_0_builds_no_equalities(capsys, monkeypatch):
             return builder(*args)
         return build
 
-    monkeypatch.setattr(filtration, "_EQUALITIES", {
-        criterion: {label: counted(builder) for label, builder in builders.items()}
-        for criterion, builders in filtration._EQUALITIES.items()})
+    monkeypatch.setattr(filtration, "_CONDITIONS", {
+        criterion: tuple((label, filtration._finder(counted(finder.build), lambda *index: index))
+                         for label, finder in conditions)
+        for criterion, conditions in filtration._CONDITIONS.items()})
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "ksearch", "--i-max", "999", "--j-max", "999",

@@ -1,3 +1,4 @@
+import collections
 import enum
 import functools
 import itertools
@@ -177,45 +178,63 @@ def test_criteria_conditions_imply_k_sequence(cells, m, k):
             assert report.is_k_seq
 
 
-# Every index at which either side of a comparison can be nonzero is
-# below 20 for tables on [0..5] x [0..4] with m <= 5 and k <= 4.
-BOX = 24
-
-
 def reference_witnesses(cells, m, k):
     """Each condition's first failing index, from its definition."""
+    rows, diagonals = collections.Counter(), collections.Counter()
+    for (i, j), value in cells.items():
+        rows[i] += value
+        diagonals[i + j] += value
+
     def v(i, j):
         return cells.get((i, j), 0)
-
-    def row(i):
-        return sum(v(i, j) for j in range(BOX))
-
-    def diag(t):
-        return sum(v(i, t - i) for i in range(t + 1))
 
     def first(fails, *ranges):
         return next((w for w in itertools.product(*ranges) if fails(*w)), None)
 
-    nat, pos = range(BOX), range(1, BOX)
+    # A failing index has a nonzero side, so it is below top, and a
+    # failing cell's column is a column of the table.
+    top = max((i + j for i, j in cells), default=0) + 2 * (m + k) + 1
+    nat, pos, columns = range(top), range(1, top), sorted({j for _, j in cells})
     return {
-        ("first", "i"): first(lambda i, j: j < k and v(i, j), nat, nat),
-        ("first", "ii"): first(lambda o, j: v(m - o, j) != v(m + o, j), pos, nat),
-        ("first", "iii"): first(lambda o: diag(m + k - o) != diag(m + k + o), pos),
-        ("second", "i"): first(lambda i, j: v(i, j) != v(2 * (m + k - j) - i, j), nat, nat),
-        ("second", "ii"): first(lambda l: diag(k + l) != row(l), nat),
-        ("second", "iii"): first(lambda o: row(m - o) != row(m + o), pos),
+        ("first", "i"): first(lambda i, j: j < k and v(i, j), nat, columns),
+        ("first", "ii"): first(lambda o, j: v(m - o, j) != v(m + o, j), pos, columns),
+        ("first", "iii"): first(
+            lambda o: diagonals[m + k - o] != diagonals[m + k + o], pos),
+        ("second", "i"): first(
+            lambda i, j: v(i, j) != v(2 * (m + k - j) - i, j), nat, columns),
+        ("second", "ii"): first(lambda l: diagonals[k + l] != rows[l], nat),
+        ("second", "iii"): first(lambda o: rows[m - o] != rows[m + o], pos),
     }
 
 
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(0, 5), st.integers(0, 4)),
-        st.integers(1, 3), max_size=10),
-    st.integers(1, 5),
-    st.integers(0, 4),
-)
+@st.composite
+def near_tables(draw):
+    """Up to 10 cells on [0..5] x [0..4], with m <= 5 and k <= 4."""
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 4)), st.integers(1, 3), max_size=10))
+    return cells, draw(st.integers(1, 5)), draw(st.integers(0, 4))
+
+
+@st.composite
+def far_tables(draw):
+    """The regime of pw's tables: one column j = c in the hundreds, k
+    near c, rows around m (pw's perverse table at (13,4) has rows 469..539
+    about m = 504, with c = k = 468) or around 2m; some of them mirrored."""
+    m, c = draw(st.integers(1, 400)), draw(st.integers(100, 999))
+    centre = draw(st.sampled_from([m, 2 * m]))
+    cells = {}
+    for offset, value in draw(st.dictionaries(st.integers(-6, 6), st.integers(1, 3),
+                                              max_size=8)).items():
+        cells[(max(0, centre + offset), c)] = value
+        if draw(st.booleans()):
+            cells[(max(0, centre - offset), c)] = value
+    return cells, m, draw(st.integers(c - 2, c + 2))
+
+
+@given(st.one_of(near_tables(), far_tables()))
 @settings(deadline=None)
-def test_every_condition_reports_its_first_witness(cells, m, k):
+def test_every_condition_reports_its_first_witness(case):
+    cells, m, k = case
     table = FiltrationTable(cells)
     expected = reference_witnesses(cells, m, k)
     for criterion, conditions in filtration._CONDITIONS.items():
@@ -450,13 +469,14 @@ def boxed_tables(draw):
 @given(boxed_tables(), st.integers(1, 5), st.integers(0, 4))
 @settings(deadline=None)
 def test_each_conditions_equalities_hold_iff_its_finder_finds_nothing(boxed, m, k):
-    # The certificate reads each condition as equalities on the box; on a
-    # table in the box they must say what the finder checks.
+    # The certificate reads each condition's builder on the box's lines,
+    # the finder on the table's support lines; on a table in the box the
+    # two must agree.
     i_max, j_max, table = boxed
-    rows, diagonals = filtration._box_lines(i_max, j_max)
+    box = filtration._lines(itertools.product(range(i_max + 1), range(j_max + 1)))
     for criterion, conditions in filtration._CONDITIONS.items():
         for label, finder in conditions:
-            equalities = filtration._EQUALITIES[criterion][label](rows, diagonals, m, k)
+            equalities = finder.build(*box, m, k)
             holds = all(sum(table.get(*cell) for cell in plus)
                         == sum(table.get(*cell) for cell in minus)
                         for _, plus, minus in equalities)
@@ -503,6 +523,29 @@ def test_leaving_out_a_condition_fails_the_certificate_and_the_search(
     assert any(hits) == (not all(passed)) == used
     for box, ok, found in zip(boxes, passed, hits):
         assert not (ok and found), box
+
+
+def test_a_condition_is_written_once_for_the_report_the_search_and_the_certificate(
+        monkeypatch):
+    # First/(iii) with its antidiagonals mirrored about m + k + 1: the
+    # one patched entry reaches the checker, the certificate and the
+    # search, which finds the single cell (1, 1) at (m, k) = (1, 0).
+    def moved(rows, diagonals, m, k):
+        return ((t, line, diagonals.get(2 * (m + k + 1) - t, []))
+                for t, line in diagonals.items())
+
+    table = FiltrationTable({(1, 0): 1})
+    assert check_first_criterion(table, 1, 0).passed
+    conditions = dict(filtration._CONDITIONS)
+    conditions[Criterion.FIRST] = conditions[Criterion.FIRST][:2] + (
+        ("iii", filtration._finder(moved, lambda t, m, k: (abs(t - m - k - 1),))),)
+    monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
+    report = check_first_criterion(table, 1, 0)
+    assert (report.cond_iii, report.first_violation) == (False, ("iii", (1,)))
+    with pytest.raises(VerificationError):
+        certify_criterion(Criterion.FIRST, 2, 1, [1], [0])
+    hits = falsification_search(Criterion.FIRST, 2, 1, 1, [1], [0])
+    assert (FiltrationTable({(1, 1): 1}), 1, 0) in hits
 
 
 @pytest.mark.parametrize("criterion", list(Criterion))

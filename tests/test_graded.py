@@ -160,6 +160,8 @@ def test_json_readers_reject_what_the_constructors_reject(cls, text, error):
     (BiLaurentPoly, '[[2,0,"1"],[2,0,"-1"]]', (1, 0)),
     (FiltrationTable, "[[0,0,1],[0,0,2]]", (0, 0)),
     (FiltrationTable, "[[0,0,0],[0,0,2]]", (0, 0)),
+    # The object form is refused as the list form is.
+    (CohomologyProfile, '{"2":1,"2":3}', "2"),
 ])
 def test_a_list_form_reader_refuses_a_repeated_key(cls, text, key):
     # A dict would keep the last entry; the reader names the key instead.
