@@ -20,6 +20,7 @@ namespace.
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from types import SimpleNamespace
@@ -107,16 +108,25 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
     def support():
         low, high = variant_betti(params).support()
         floor = 2 * endoscopic_bound(n, g) + 1
-        ok = low >= floor and high <= params.dim - 1
-        return ok, f"[{low},{high}] within [{floor},{params.dim - 1}]"
+        top = params.dim - 1
+        detail = f"[{low},{high}] within [{floor},{top}]"
+        if low < floor:
+            detail += f"; low end {low} < {floor}"
+        if high > top:
+            detail += f"; high end {high} > {top}"
+        return low >= floor and high <= top, detail
 
     def curious():
         profile = variant_betti(params)
         center = params.half_dim + params.curious_shift
         _, top = profile.support()
-        ok = all(profile[center - i] == profile[center + i]
-                 for i in range(1, top + 1))
-        return ok, f"center {center}"
+        detail = f"center {center}"
+        for i in range(1, top + 1):
+            below, above = profile[center - i], profile[center + i]
+            if below != above:
+                return False, (f"{detail}; first difference at offset {i}: "
+                               f"H^{center - i} = {below}, H^{center + i} = {above}")
+        return True, detail
 
     def pw():
         report = verify_pw(params)
@@ -324,6 +334,12 @@ def _write(path: str, mode: str, text: str) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
+        # The program entry: move everything allocated so far (the
+        # interpreter's, site's and the package's objects) into the
+        # collector's permanent generation, which no collection scans,
+        # so the full collections at interpreter exit skip them.  A
+        # library call main([...]) leaves the caller's collector alone.
+        gc.freeze()
         argv = sys.argv[1:]
     args = _parse_direct(argv)
     if args is None:

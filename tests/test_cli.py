@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import pwcheck.cli as cli
 import pwcheck.epoly as epoly
 import pwcheck.filtration as filtration
-from pwcheck import Criterion, IdentityFailureError, NotPrimeError
+from pwcheck import CohomologyProfile, Criterion, IdentityFailureError, NotPrimeError
 from pwcheck.cli import main
 from test_golden import GOLDEN
 
@@ -105,6 +106,40 @@ def test_verify_continues_past_failures(capsys, monkeypatch):
     # the later checks still ran
     assert any(line.startswith("PASS pw") for line in lines)
     assert lines[-1].startswith("1 check(s) failed")
+
+
+def _verify_line(capsys, name):
+    """The exit code and the line of check name that verify --n 3 --g 2 prints."""
+    code, out, _ = run(capsys, "verify", "--n", "3", "--g", "2")
+    return code, next(line for line in out.splitlines() if line.split()[1] == name)
+
+
+def _with_betti(monkeypatch, change):
+    """Patch verify's variant_betti to give change(profile as a dict)."""
+    def patched(params):
+        return CohomologyProfile(change(dict(epoly.variant_betti(params).items())))
+
+    monkeypatch.setattr(cli, "variant_betti", patched)
+
+
+def test_support_bound_failure_names_the_low_end(capsys, monkeypatch):
+    # at (3, 2) the support [13, 15] fills the range exactly
+    monkeypatch.setattr(cli, "endoscopic_bound", lambda n, g: 7)
+    assert _verify_line(capsys, "support-bound") == (
+        1, "FAIL support-bound ([13,15] within [15,15]; low end 13 < 15)")
+
+
+def test_support_bound_failure_names_the_high_end(capsys, monkeypatch):
+    _with_betti(monkeypatch, lambda betti: {**betti, 16: 1})
+    assert _verify_line(capsys, "support-bound") == (
+        1, "FAIL support-bound ([13,16] within [13,15]; high end 16 > 15)")
+
+
+def test_curious_symmetry_failure_names_the_first_unequal_offset(capsys, monkeypatch):
+    _with_betti(monkeypatch, lambda betti: {**betti, 15: 161})
+    assert _verify_line(capsys, "curious-symmetry") == (
+        1, "FAIL curious-symmetry (center 14; first difference at offset 1: "
+           "H^13 = 160, H^15 = 161)")
 
 
 def test_verify_json(capsys):
@@ -513,11 +548,14 @@ def test_the_direct_parser_agrees_with_argparse(argv):
         assert vars(direct) == vars(expected)
 
 
-def _module_run(*argv):
+def _python(*args):
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "pwcheck.cli", *argv],
-                          capture_output=True, env={**os.environ, "PYTHONPATH": path},
-                          check=False)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=False)
+
+
+def _module_run(*argv):
+    return _python("-m", "pwcheck.cli", *argv)
 
 
 def test_python_m_reads_its_command_line_from_sys_argv():
@@ -528,3 +566,45 @@ def test_python_m_reads_its_command_line_from_sys_argv():
     result = _module_run("pw", "--n", "4", "--g", "2")
     assert (result.returncode, result.stdout) == (2, b"")
     assert result.stderr == b"error: rank 4 is not prime\n"
+
+
+VERB_FORMATS = [pytest.param(verb, fmt, id=f"{verb}-{fmt}")
+                for verb in cli._VERBS for fmt in ("text", "json", "csv")]
+
+
+@pytest.mark.parametrize("verb, fmt", VERB_FORMATS)
+def test_python_m_gives_the_in_process_bytes_and_exit(capsys, tmp_path, verb, fmt):
+    argv = [*_argv(verb), "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    result = _module_run(*argv)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(), b"")
+    # with --out, the file is complete once the process has exited
+    target = tmp_path / "out.txt"
+    result = _module_run(*argv, "--out", str(target))
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+    assert target.read_bytes() == out.encode()
+
+
+# main() from sys.argv, in a child under -S (no site .pth file freezes
+# or imports anything first); prints the freeze count before and after.
+FREEZE_PROGRAM = """
+import gc, sys
+from pwcheck.cli import main
+before = gc.get_freeze_count()
+code = main()
+print(before, gc.get_freeze_count())
+sys.exit(code)
+"""
+
+
+def test_the_program_entry_freezes_the_start_up_heap():
+    result = _python("-S", "-c", FREEZE_PROGRAM, "verify", "--n", "5", "--g", "2")
+    assert (result.returncode, result.stderr) == (0, b"")
+    before, after = map(int, result.stdout.split()[-2:])
+    assert before == 0 and after > 0
+
+
+def test_a_library_call_leaves_the_collector_alone(capsys):
+    state = gc.get_freeze_count(), gc.isenabled()
+    assert run(capsys, "verify", "--n", "5", "--g", "2")[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
