@@ -2,11 +2,12 @@
 
 Stdlib only, and nothing from the package: both ``laurent`` and
 ``filtration`` build on it, through one checking constructor and one
-trusted ``_of``.  ``json`` is imported where it is used, so that a text
-or CSV call never loads it.  It also holds the one integer rule: an
-integer input is an exact ``int``, never a bool or a subclass; and the
-two roots under which the package raises an input it refuses and a
-check it saw fail.
+trusted ``_of``.  ``json`` is imported only to read JSON; writing it
+takes the one C string encoder from ``_json``, imported where it is
+used, so that a text or CSV call loads neither.  It also holds the one
+integer rule: an integer input is an exact ``int``, never a bool or a
+subclass; and the two roots under which the package raises an input it
+refuses and a check it saw fail.
 """
 
 from __future__ import annotations
@@ -53,9 +54,35 @@ def dict_of_pairs(pairs: Iterable[tuple]) -> dict:
 
 
 def compact_json(obj: object) -> str:
-    """obj as JSON text with no space after a separator."""
-    import json
-    return json.dumps(obj, separators=(",", ":"))
+    """obj as JSON text with no space after a separator: the text of
+    json.dumps(obj, separators=(",", ":")), for the values the package
+    builds (dicts with str keys, lists, str, int, bool and None); any
+    other type raises TypeError.  A string is written by the C function
+    json.dumps calls, so a call loads neither json nor its decoder.
+    """
+    from _json import encode_basestring_ascii as quote
+
+    def encode(value: object) -> str:
+        kind = type(value)
+        if kind is str:
+            return quote(value)
+        if kind is int:
+            return str(value)
+        if kind is list:
+            return f"[{','.join(map(encode, value))}]"
+        if kind is dict:
+            for key in value:
+                if type(key) is not str:
+                    raise TypeError(f"JSON object key {key!r} is not a str")
+            items = ",".join(f"{quote(key)}:{encode(item)}" for key, item in value.items())
+            return f"{{{items}}}"
+        if kind is bool:
+            return "true" if value else "false"
+        if value is None:
+            return "null"
+        raise TypeError(f"a {kind.__name__} is not written as JSON")
+
+    return encode(obj)
 
 
 class Frozen:

@@ -78,6 +78,18 @@ def cmd_pw(args: SimpleNamespace) -> tuple[int, object]:
     return code, report.summary()
 
 
+def _compare(detail: str, left_name: str, a: LaurentPoly,
+             right_name: str, b: LaurentPoly) -> tuple[bool, str]:
+    """(a == b, detail); when they differ, the detail goes on to the least
+    exponent where they do and the coefficient each has there."""
+    if a == b:
+        return True, detail
+    a, b = dict(a.terms()), dict(b.terms())
+    e = min(key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0))
+    return False, (f"{detail}; first difference at q^{e}: "
+                   f"{left_name} = {a.get(e, 0)}, {right_name} = {b.get(e, 0)}")
+
+
 def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
     n, g = params.n, params.g
     checks: list[tuple[str, bool, str]] = []
@@ -91,19 +103,24 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
 
     def palindromic():
         weight = (2 * g - 2) * (2 * n * n + n - 3)
-        return closed_e(params).is_palindromic(weight), f"weight {weight}"
+        e = closed_e(params)
+        return _compare(f"weight {weight}", "E", e, f"q^{weight}*E(1/q)", e.reverse(weight))
 
     def mirror_diag():
-        return mirror_difference(params).diagonal() == closed_e(params), "u=v=q"
+        return _compare("u=v=q", "mirror diagonal", mirror_difference(params).diagonal(),
+                        "closed_e", closed_e(params))
 
     def evar_shift():
         shift = (n * n + n - 2) * (g - 1)
         lhs = evar_from_types(params) * LaurentPoly({shift: 1})
-        return lhs == closed_e(params), f"shift q^{shift}"
+        return _compare(f"shift q^{shift}", "shifted type route", lhs, "closed_e",
+                        closed_e(params))
 
     def euler():
-        value = euler_variant(params)
-        return variant_betti(params).euler() == value, f"chi {value}"
+        value, chi = euler_variant(params), variant_betti(params).euler()
+        if chi == value:
+            return True, f"chi {value}"
+        return False, f"chi {value}; the Betti numbers give {chi}"
 
     def support():
         low, high = variant_betti(params).support()

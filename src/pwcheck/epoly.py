@@ -13,7 +13,7 @@ from collections.abc import Mapping
 
 from ._frozen import DomainError, VerificationError, read_int, require_int
 from .filtration import _Graded, _Record
-from .laurent import BiLaurentPoly, LaurentPoly
+from .laurent import BiLaurentPoly, LaurentPoly, _exact_quotient
 
 
 class NotPrimeError(DomainError):
@@ -73,15 +73,44 @@ class ModuliParams(_Record):
         return self.n * (self.n - 1) * (self.g - 1)
 
 
+def _digit_bytes(bound: int) -> int:
+    """Bytes per digit of a radix X = 256**width with X > 2 * bound, so
+    that signed digits of magnitude at most bound read back unchanged."""
+    return (2 * bound).bit_length() // 8 + 1
+
+
+def _signed_digits(value: int, width: int, count: int) -> dict[int, int]:
+    """{i: d_i} for the nonzero d_i of value = sum of d_i * X**i over
+    i < count, with X = 256**width and every |d_i| < X/2.
+
+    Adding X/2 to every digit makes each one a nonnegative byte string of
+    the sum, so the digits are slices of its to_bytes.
+    """
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = (value + offset).to_bytes(width * count, "little")
+    digits = (int.from_bytes(raw[at:at + width], "little") - half
+              for at in range(0, width * count, width))
+    return {i: digit for i, digit in enumerate(digits) if digit}
+
+
 def variant_bracket(n: int, g: int) -> LaurentPoly:
     """(q-1)^{(n-1)(2g-2)} - (1+q+...+q^{n-1})^{2g-2}.
 
     The common factor of the closed E-polynomial and of the point-count
-    route; everything variant-specific lives in the prefactor.
+    route; everything variant-specific lives in the prefactor.  Built by
+    Kronecker substitution, apart from the polynomial kernel: both powers
+    are taken at q = X = 256**width in ints and the difference is read
+    back digit by digit.  A coefficient of (q-1)^N is at most 2^N in size
+    and one of S^M, S = 1+q+...+q^{n-1}, is in [0, n^M], so
+    X > 2 * (2^N + n^M) keeps the digits apart.
     """
-    q_minus_1 = LaurentPoly({1: 1, 0: -1})
-    cyclo_sum = LaurentPoly({e: 1 for e in range(n)})
-    return q_minus_1 ** ((n - 1) * (2 * g - 2)) - cyclo_sum ** (2 * g - 2)
+    big_n, big_m = (n - 1) * (2 * g - 2), 2 * g - 2
+    width = _digit_bytes(2 ** big_n + n ** big_m)
+    x = 1 << (8 * width)
+    value = (x - 1) ** big_n - ((x ** n - 1) // (x - 1)) ** big_m
+    # Both powers are monic of degree N, so the digit at N is 0.
+    return LaurentPoly._of(_signed_digits(value, width, big_n + 1))
 
 
 # The last (n, g) and its closed E-polynomial, shared (LaurentPoly is
@@ -93,13 +122,16 @@ def closed_e(params: ModuliParams) -> LaurentPoly:
     """Closed-form E-polynomial of the variant cohomology.
 
     ((n^{2g} - 1)/n) * q^dim * ((q-1)^{(n-1)(2g-2)} - (1+q+...+q^{n-1})^{2g-2}),
-    on ints: the 1/n comes last, as an exact division of each coefficient.
+    on ints: the 1/n comes last, as an exact division of each scaled
+    coefficient, in the one pass that shifts the bracket by q^dim.
     """
     n, g = params.n, params.g
     if (n, g) not in _CLOSED_MEMO:
-        product = LaurentPoly({params.dim: n ** (2 * g) - 1}) * variant_bracket(n, g)
+        scale, dim = n ** (2 * g) - 1, params.dim
+        bracket = variant_bracket(n, g)
         _CLOSED_MEMO.clear()
-        _CLOSED_MEMO[n, g] = product._divide_coefficients(n)
+        _CLOSED_MEMO[n, g] = LaurentPoly._of(
+            {dim + e: _exact_quotient(scale * c, n) for e, c in bracket.terms()})
     return _CLOSED_MEMO[n, g]
 
 

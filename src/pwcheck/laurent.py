@@ -140,7 +140,8 @@ class _SparsePoly(SparseMap):
         return rhs + (-self)
 
     def _power(self, n: int) -> _SparsePoly:
-        """Nonnegative integer power by binary exponentiation.
+        """Nonnegative integer power by binary exponentiation: one product
+        per set bit of n, and a squaring of the base only while bits remain.
 
         >>> print(LaurentPoly({1: 1, 0: -1}) ** 3)
         q^3 - 3*q^2 + 3*q - 1
@@ -151,8 +152,9 @@ class _SparsePoly(SparseMap):
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
 

@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 import pwcheck.cli as cli
 import pwcheck.epoly as epoly
 import pwcheck.filtration as filtration
+import pwcheck.hookchar as hookchar
 from pwcheck import CohomologyProfile, Criterion, IdentityFailureError, NotPrimeError
+from pwcheck._frozen import compact_json
 from pwcheck.cli import main
+from pwcheck.laurent import BiLaurentPoly, LaurentPoly
 from test_golden import GOLDEN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -142,6 +145,37 @@ def test_curious_symmetry_failure_names_the_first_unequal_offset(capsys, monkeyp
            "H^13 = 160, H^15 = 161)")
 
 
+def test_palindromic_failure_names_the_first_unequal_exponent(capsys, monkeypatch):
+    # at (3, 2) closed_e is -160*q^17 + 80*q^18 - 160*q^19, weight 36
+    monkeypatch.setattr(cli, "closed_e",
+                        lambda params: epoly.closed_e(params) + LaurentPoly({17: 1}))
+    assert _verify_line(capsys, "palindromic") == (
+        1, "FAIL palindromic (weight 36; first difference at q^17: "
+           "E = -159, q^36*E(1/q) = -160)")
+
+
+def test_mirror_diagonal_failure_names_the_first_unequal_exponent(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "mirror_difference",
+                        lambda params: epoly.mirror_difference(params) + BiLaurentPoly({(9, 9): 1}))
+    assert _verify_line(capsys, "mirror-diagonal") == (
+        1, "FAIL mirror-diagonal (u=v=q; first difference at q^18: "
+           "mirror diagonal = 81, closed_e = 80)")
+
+
+def test_evar_shift_failure_names_the_first_unequal_exponent(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "evar_from_types",
+                        lambda params: hookchar.evar_from_types(params) + LaurentPoly({9: -1}))
+    assert _verify_line(capsys, "evar-shift") == (
+        1, "FAIL evar-shift (shift q^10; first difference at q^19: "
+           "shifted type route = -161, closed_e = -160)")
+
+
+def test_euler_failure_names_both_values(capsys, monkeypatch):
+    _with_betti(monkeypatch, lambda betti: {**betti, 16: 1})
+    assert _verify_line(capsys, "euler") == (
+        1, "FAIL euler (chi -240; the Betti numbers give -239)")
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "--g", "2", "--format", "json")
     assert code == 0
@@ -150,6 +184,25 @@ def test_verify_json(capsys):
     assert [c["name"] for c in obj["checks"]] == [
         "palindromic", "mirror-diagonal", "evar-shift", "euler",
         "support-bound", "curious-symmetry", "pw"]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=20)
+
+
+@given(json_values)
+@example(["\"\\\x00\x1f\x7f\u00e9\u2028\U0001F600", {"": None, "a": [True, False, -0]}])
+def test_compact_json_writes_what_json_dumps_writes(value):
+    assert compact_json(value) == json.dumps(value, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, [{"a": {2}}], CohomologyProfile({2: 1})],
+                         ids=["float", "tuple", "int-key", "nested-set", "value-class"])
+def test_compact_json_refuses_any_other_type(value):
+    with pytest.raises(TypeError):
+        compact_json(value)
 
 
 def test_ksearch_small(capsys):

@@ -3,9 +3,10 @@
 Every CLI call is a fresh interpreter, so each module the package imports
 is paid for on every call.  `dataclasses` alone pulled in `inspect`,
 `ast`, `dis`, `tokenize` and `linecache`, about 10 ms of start-up, and
-`typing` is the next largest; `json` is needed only to write or read
-JSON.  Every coefficient is an int, so `fractions` (with `decimal`, about
-3.5 ms) and `numbers` are never needed.  `argparse`
+`typing` is the next largest; `json` is needed only to read JSON, since
+JSON is written with the C string encoder of `_json` alone.  Every
+coefficient is an int, so `fractions` (with `decimal`, about 3.5 ms)
+and `numbers` are never needed.  `argparse`
 (which loads `gettext` and, on its first message, `locale`) is about
 7 ms of start-up with its parser built, so a plain command line is
 parsed without it.  The child runs under `python -S`, because a `site`
@@ -61,6 +62,18 @@ def test_a_verify_call_loads_no_typing():
 
 def test_a_verify_call_loads_no_json():
     assert _loaded(["json"]) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param([verb, "--n", "5", "--g", "2", "--format", "json"], id=f"{verb}-json")
+      for verb in ("pw", "betti", "epoly", "verify")),
+    pytest.param(["ksearch", "--format", "json"], id="ksearch-json"),
+    pytest.param(["epoly", "--n", "5", "--g", "2", "--format", "json", "--out", os.devnull],
+                 id="epoly-json-out"),
+])
+def test_a_json_call_loads_no_json(argv):
+    # JSON is written with _json's string encoder alone; json is read only.
+    assert _loaded(["json", "json.decoder", "json.encoder"], argv) == "[]"
 
 
 @pytest.mark.parametrize("argv", [

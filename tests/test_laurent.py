@@ -1,5 +1,6 @@
 import doctest
 import enum
+import math
 import re
 from fractions import Fraction
 
@@ -232,6 +233,29 @@ def test_pow_rejects_a_bad_exponent():
         for n in (-1, 1.0, "2", True):
             with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
                 p ** n
+
+
+def test_pow_squares_the_base_only_while_bits_remain(monkeypatch):
+    # One squaring per bit below the top and one product per set bit;
+    # a squaring past the top bit would be the largest product of all.
+    products = []
+    mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    q_minus_1 = LaurentPoly({1: 1, 0: -1})
+    for e in range(1, 131):
+        products.clear()
+        power = q_minus_1 ** e
+        assert len(products) == e.bit_length() - 1 + bin(e).count("1"), e
+        assert power == LaurentPoly({k: math.comb(e, k) * (-1) ** (e - k) for k in range(e + 1)})
+    products.clear()
+    assert q_minus_1 ** 0 == LaurentPoly.one() and not products
+    with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+        q_minus_1 ** -1
 
 
 @given(bipolys)

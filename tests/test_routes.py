@@ -10,7 +10,9 @@ import pytest
 import pwcheck.epoly as epoly
 import pwcheck.hitchin as hitchin
 import pwcheck.hookchar as hookchar
+from pwcheck.cli import main
 from pwcheck.epoly import ModuliParams
+from pwcheck.laurent import LaurentPoly, _SparsePoly
 
 POINTS = [(2, 2), (3, 2), (5, 3), (7, 2)]
 
@@ -51,3 +53,42 @@ def test_weight_route_does_not_bind_the_cross_check():
     # evar_from_types reads closed_e, so through it the weight table
     # would raise on a disagreement instead of reporting it.
     assert not hasattr(hitchin, "evar_from_types")
+
+
+KERNEL = [(LaurentPoly, "__mul__"), (LaurentPoly, "__rmul__"), (LaurentPoly, "__add__"),
+          (LaurentPoly, "__sub__"), (LaurentPoly, "divide_exact"), (_SparsePoly, "_power"),
+          (_SparsePoly, "_divide_coefficients")]
+
+
+@pytest.mark.parametrize("n,g", [*POINTS, (13, 4)])
+def test_the_closed_route_runs_off_the_polynomial_kernel(monkeypatch, n, g):
+    # closed_e and variant_bracket are big-int arithmetic, so a kernel
+    # fault can bend the type route and the mirror, never both routes.
+    params = ModuliParams(n, g)
+    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
+    expected = epoly.closed_e(params), epoly.variant_bracket(n, g)
+    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
+    for cls, name in KERNEL:
+        monkeypatch.setattr(cls, name, _forbidden(f"{cls.__name__}.{name}"))
+    assert (epoly.closed_e(params), epoly.variant_bracket(n, g)) == expected
+
+
+def test_a_kernel_fault_that_bends_the_type_route_fails_evar_shift(monkeypatch, capsys):
+    # A LaurentPoly ** that drops its top term: the type route takes its
+    # powers on the dict kernel, closed_e does not.
+    power = _SparsePoly._power
+
+    def drops_its_top_term(self, e):
+        terms = dict(power(self, e).terms())
+        terms.pop(max(terms), None)
+        return LaurentPoly(terms)
+
+    params = ModuliParams(5, 3)
+    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
+    expected = epoly.closed_e(params)
+    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
+    monkeypatch.setattr(LaurentPoly, "_power", drops_its_top_term)
+    assert main(["verify", "--n", "5", "--g", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL evar-shift (") for line in lines)
+    assert epoly.closed_e(params) == expected
