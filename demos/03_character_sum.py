@@ -7,12 +7,11 @@ from pwcheck import (
     ModuliParams,
     SpecialType,
     closed_e,
-    evar_closed_route,
-    evar_from_types,
     evar_type_route,
     special_hook,
     type_contribution,
 )
+from pwcheck.hookchar import evar_from_types
 from pwcheck.laurent import LaurentPoly
 
 n, g = 3, 2
@@ -27,17 +26,17 @@ for kind in SpecialType:
 print()
 
 by_types = evar_type_route(params)
-by_formula = evar_closed_route(params)
+by_formula = closed_e(params) * LaurentPoly({-params.type_shift: 1})
 print(f"summed over families: {by_types}")
 print(f"closed bracket:       {by_formula}")
 print(f"routes agree:         {by_types == by_formula}")
 print()
 
-# evar_from_types runs that comparison internally and refuses to return
-# anything if the two disagree.  A degree shift then recovers the full
-# E-polynomial.
+# evar_from_types runs that comparison itself and raises
+# InconsistentFormulaError if the two disagree.  A degree shift then
+# recovers the full E-polynomial.
 evar = evar_from_types(params)
-shift = (n * n + n - 2) * (g - 1)
+shift = params.type_shift
 lifted = evar * LaurentPoly({shift: 1})
 print(f"shifted by q^{shift}:      {lifted}")
 print(f"matches closed E:     {lifted == closed_e(params)}")

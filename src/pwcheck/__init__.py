@@ -25,16 +25,12 @@ from .filtration import (
 )
 from .hitchin import (
     PWReport,
-    endoscopic_bound,
     perverse_table,
     verify_pw,
     weight_table,
 )
 from .hookchar import (
-    IdentityFailureError,
     SpecialType,
-    evar_closed_route,
-    evar_from_types,
     evar_type_route,
     special_hook,
     type_contribution,

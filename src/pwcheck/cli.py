@@ -29,8 +29,8 @@ from ._frozen import DomainError, VerificationError, compact_json
 from .epoly import (
     ModuliParams, closed_e, euler_variant, mirror_difference, variant_betti)
 from .filtration import DEFAULT_BUDGET, Criterion, certify_criterion, count_search_tables
-from .hitchin import endoscopic_bound, verify_pw
-from .hookchar import evar_from_types
+from .hitchin import verify_pw
+from .hookchar import evar_type_route
 from .laurent import LaurentPoly
 
 # Each cmd_* returns (exit code, output for --format): a JSON-ready object
@@ -91,7 +91,6 @@ def _compare(detail: str, left_name: str, a: LaurentPoly,
 
 
 def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
-    n, g = params.n, params.g
     checks: list[tuple[str, bool, str]] = []
 
     def run(name: str, fn) -> None:
@@ -102,7 +101,7 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
         checks.append((name, ok, detail))
 
     def palindromic():
-        weight = (2 * g - 2) * (2 * n * n + n - 3)
+        weight = params.dim + 2 * params.type_shift
         e = closed_e(params)
         return _compare(f"weight {weight}", "E", e, f"q^{weight}*E(1/q)", e.reverse(weight))
 
@@ -111,8 +110,8 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
                         "closed_e", closed_e(params))
 
     def evar_shift():
-        shift = (n * n + n - 2) * (g - 1)
-        lhs = evar_from_types(params) * LaurentPoly({shift: 1})
+        shift = params.type_shift
+        lhs = evar_type_route(params) * LaurentPoly({shift: 1})
         return _compare(f"shift q^{shift}", "shifted type route", lhs, "closed_e",
                         closed_e(params))
 
@@ -124,7 +123,7 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
 
     def support():
         low, high = variant_betti(params).support()
-        floor = 2 * endoscopic_bound(n, g) + 1
+        floor = 2 * params.curious_shift + 1
         top = params.dim - 1
         detail = f"[{low},{high}] within [{floor},{top}]"
         if low < floor:

@@ -24,18 +24,8 @@ class InconsistentFormulaError(VerificationError):
     """Two routes to the same quantity disagreed; indicates a bug."""
 
 
-def smallest_prime_factor(n: int) -> int:
-    require_int(n, 2, "rank n must be an integer >= 2")
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 1
-    return n
-
-
 def require_prime(n: int) -> None:
-    if type(n) is not int or n < 2 or smallest_prime_factor(n) != n:
+    if type(n) is not int or n < 2 or any(n % f == 0 for f in range(2, math.isqrt(n) + 1)):
         raise NotPrimeError(f"rank {n!r} is not prime")
 
 
@@ -71,6 +61,12 @@ class ModuliParams(_Record):
     def curious_shift(self) -> int:
         """Center offset c = n(n-1)(g-1) of the curious symmetry."""
         return self.n * (self.n - 1) * (self.g - 1)
+
+    @property
+    def type_shift(self) -> int:
+        """Exponent s = (n^2+n-2)(g-1) with closed_e = q^s * evar_type_route."""
+        n = self.n
+        return (n * n + n - 2) * (self.g - 1)
 
 
 def _digit_bytes(bound: int) -> int:
@@ -114,7 +110,7 @@ def variant_bracket(n: int, g: int) -> LaurentPoly:
 
 
 # The last (n, g) and its closed E-polynomial, shared (LaurentPoly is
-# immutable) by the nine calls of one verify; no other route reads it.
+# immutable) by the eight calls of one verify; no other route reads it.
 _CLOSED_MEMO: dict[tuple[int, int], LaurentPoly] = {}
 
 

@@ -11,13 +11,7 @@ the level of graded dimensions.
 
 from __future__ import annotations
 
-from ._frozen import require_int
-from .epoly import (
-    InconsistentFormulaError,
-    ModuliParams,
-    smallest_prime_factor,
-    variant_betti,
-)
+from .epoly import InconsistentFormulaError, ModuliParams, variant_betti
 from .filtration import (
     FiltrationTable,
     _Record,
@@ -25,16 +19,6 @@ from .filtration import (
     check_second_criterion,
 )
 from .hookchar import evar_type_route
-
-
-def endoscopic_bound(n: int, g: int) -> int:
-    """Codimension bound n(n - n/p)(g-1) for the special locus, where p
-    is the smallest prime factor of n.  Defined for any rank n >= 2;
-    for prime n it reduces to n(n-1)(g-1).
-    """
-    require_int(g, 2, "genus g must be an integer >= 2")
-    p = smallest_prime_factor(n)
-    return n * (n - n // p) * (g - 1)
 
 
 def perverse_table(params: ModuliParams) -> FiltrationTable:

@@ -12,13 +12,9 @@ from __future__ import annotations
 
 import enum
 
-from ._frozen import VerificationError, require_int
-from .epoly import ModuliParams, closed_e, require_prime
+from ._frozen import require_int
+from .epoly import InconsistentFormulaError, ModuliParams, closed_e, require_prime
 from .laurent import LaurentPoly
-
-
-class IdentityFailureError(VerificationError):
-    """The two derivations of the same polynomial disagreed."""
 
 
 class SpecialType(enum.Enum):
@@ -59,8 +55,8 @@ def type_contribution(hook: LaurentPoly, g: int) -> LaurentPoly:
 def evar_type_route(params: ModuliParams) -> LaurentPoly:
     """Variant E-polynomial summed over the two special families, on ints:
     the counts' 1/n comes last, as an exact division of each coefficient.
-    Never reads closed_e: it is the independent side of evar_from_types
-    and of weight_table.
+    Never reads closed_e: it is the independent side of verify's
+    evar-shift check and of weight_table.
     """
     n, g = params.n, params.g
     total = LaurentPoly.zero()
@@ -70,24 +66,12 @@ def evar_type_route(params: ModuliParams) -> LaurentPoly:
     return total._divide_coefficients(n)
 
 
-def evar_closed_route(params: ModuliParams) -> LaurentPoly:
-    """Same polynomial from the closed formula: closed_e shifted down by
-    q^{(n^2+n-2)(g-1)}, which is ((n^{2g}-1)/n) * q^{(n^2-n)(g-1)} * bracket(n, g).
-    """
-    n, g = params.n, params.g
-    shift = (n * n + n - 2) * (g - 1)
-    return closed_e(params) * LaurentPoly({-shift: 1})
-
-
 def evar_from_types(params: ModuliParams) -> LaurentPoly:
-    """Variant E-polynomial with both derivations cross-checked.
-
-    Raises IdentityFailureError if the character sum and the closed
-    formula disagree.
+    """Variant E-polynomial from the character sum, cross-checked: raises
+    InconsistentFormulaError unless q^type_shift times it is closed_e.
     """
-    from_types = evar_type_route(params)
-    from_closed = evar_closed_route(params)
-    if from_types != from_closed:
-        raise IdentityFailureError(
+    evar = evar_type_route(params)
+    if evar * LaurentPoly({params.type_shift: 1}) != closed_e(params):
+        raise InconsistentFormulaError(
             f"character sum disagrees with closed form for n={params.n} g={params.g}")
-    return from_types
+    return evar

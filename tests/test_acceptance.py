@@ -16,8 +16,8 @@ from pwcheck.filtration import (
     falsification_search,
     is_k_sequence,
 )
-from pwcheck.hitchin import endoscopic_bound, verify_pw
-from pwcheck.hookchar import evar_closed_route, evar_from_types, evar_type_route
+from pwcheck.hitchin import verify_pw
+from pwcheck.hookchar import evar_type_route
 from pwcheck.laurent import LaurentPoly
 
 GRID = [(n, g) for n in (2, 3, 5, 7) for g in (2, 3, 4)]
@@ -52,17 +52,9 @@ def test_criterion_3_mirror_diagonal():
 
 
 def test_criterion_4_character_sum_route():
-    ok = True
-    for n, g in GRID:
-        params = ModuliParams(n, g)
-        if evar_type_route(params) != evar_closed_route(params):
-            ok = False
-            break
-        shift = (n * n + n - 2) * (g - 1)
-        lifted = evar_from_types(params) * LaurentPoly({shift: 1})
-        if lifted != closed_e(params):
-            ok = False
-            break
+    ok = all(
+        evar_type_route(params) * LaurentPoly({params.type_shift: 1}) == closed_e(params)
+        for params in (ModuliParams(n, g) for n, g in GRID))
     _report(4, "character sum equals closed form up to the degree shift", ok)
 
 
@@ -134,6 +126,6 @@ def test_criterion_9_support_bound():
     for n, g in GRID:
         params = ModuliParams(n, g)
         low, high = variant_betti(params).support()
-        ok = ok and low >= 2 * endoscopic_bound(n, g) + 1
+        ok = ok and low >= 2 * params.curious_shift + 1
         ok = ok and high <= params.dim - 1
     _report(9, "support within the codimension window", ok)

@@ -18,7 +18,7 @@ import pwcheck.cli as cli
 import pwcheck.epoly as epoly
 import pwcheck.filtration as filtration
 import pwcheck.hookchar as hookchar
-from pwcheck import CohomologyProfile, Criterion, IdentityFailureError, NotPrimeError
+from pwcheck import CohomologyProfile, Criterion, InconsistentFormulaError, NotPrimeError
 from pwcheck._frozen import compact_json
 from pwcheck.cli import main
 from pwcheck.laurent import BiLaurentPoly, LaurentPoly
@@ -127,9 +127,9 @@ def _with_betti(monkeypatch, change):
 
 def test_support_bound_failure_names_the_low_end(capsys, monkeypatch):
     # at (3, 2) the support [13, 15] fills the range exactly
-    monkeypatch.setattr(cli, "endoscopic_bound", lambda n, g: 7)
+    _with_betti(monkeypatch, lambda betti: {**betti, 12: 1})
     assert _verify_line(capsys, "support-bound") == (
-        1, "FAIL support-bound ([13,15] within [15,15]; low end 13 < 15)")
+        1, "FAIL support-bound ([12,15] within [13,15]; low end 12 < 13)")
 
 
 def test_support_bound_failure_names_the_high_end(capsys, monkeypatch):
@@ -163,8 +163,8 @@ def test_mirror_diagonal_failure_names_the_first_unequal_exponent(capsys, monkey
 
 
 def test_evar_shift_failure_names_the_first_unequal_exponent(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "evar_from_types",
-                        lambda params: hookchar.evar_from_types(params) + LaurentPoly({9: -1}))
+    monkeypatch.setattr(cli, "evar_type_route",
+                        lambda params: hookchar.evar_type_route(params) + LaurentPoly({9: -1}))
     assert _verify_line(capsys, "evar-shift") == (
         1, "FAIL evar-shift (shift q^10; first difference at q^19: "
            "shifted type route = -161, closed_e = -160)")
@@ -506,7 +506,7 @@ def test_an_internal_error_exits_3(capsys, monkeypatch, verb, name, exc):
 
 @pytest.mark.parametrize("exc, code, prefix", [
     (NotPrimeError, 2, "error: "),
-    (IdentityFailureError, 1, "verification failure: "),
+    (InconsistentFormulaError, 1, "verification failure: "),
 ])
 @pytest.mark.parametrize("verb, name", VERB_CALLS)
 def test_only_the_two_roots_map_to_exits_1_and_2(capsys, monkeypatch, verb, name,

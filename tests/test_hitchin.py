@@ -4,7 +4,7 @@ import pytest
 
 from pwcheck.epoly import CohomologyProfile, InconsistentFormulaError, ModuliParams
 from pwcheck.filtration import FiltrationTable, is_k_sequence
-from pwcheck.hitchin import endoscopic_bound, perverse_table, verify_pw, weight_table
+from pwcheck.hitchin import perverse_table, verify_pw, weight_table
 
 GRID = [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4), (3, 3)]
 
@@ -97,29 +97,12 @@ def test_perverse_table_rejects_low_degrees(monkeypatch):
         hitchin.perverse_table(ModuliParams(2, 2))
 
 
-def test_endoscopic_bound_values():
-    assert endoscopic_bound(2, 2) == 2
-    assert endoscopic_bound(3, 2) == 6
-    assert endoscopic_bound(5, 3) == 40
-    # composite ranks are allowed here; p is the smallest prime factor
-    assert endoscopic_bound(4, 2) == 8
-    assert endoscopic_bound(6, 2) == 18
-    assert endoscopic_bound(9, 3) == 108
-    with pytest.raises(ValueError):
-        endoscopic_bound(1, 2)
-    with pytest.raises(ValueError):
-        endoscopic_bound(3, 1)
-    for n in (4.5, 5.0):
-        with pytest.raises(ValueError):
-            endoscopic_bound(n, 2)
-
-
 @pytest.mark.parametrize("n,g", GRID)
 def test_support_sits_above_twice_the_bound(n, g):
     params = ModuliParams(n, g)
     table = perverse_table(params)
     rows = [i for (i, _), _ in table.items()]
-    floor = 2 * endoscopic_bound(n, g) + 1
+    floor = 2 * params.curious_shift + 1
     # row i holds degree i + c
     c = params.curious_shift
     assert min(rows) + c >= floor

@@ -3,11 +3,16 @@ from fractions import Fraction
 import pytest
 
 from pwcheck.epoly import (
-    ModuliParams, NotPrimeError, closed_e, mirror_difference, require_prime, variant_betti)
+    InconsistentFormulaError,
+    ModuliParams,
+    NotPrimeError,
+    closed_e,
+    mirror_difference,
+    require_prime,
+    variant_betti,
+)
 from pwcheck.hookchar import (
-    IdentityFailureError,
     SpecialType,
-    evar_closed_route,
     evar_from_types,
     evar_type_route,
     special_hook,
@@ -54,11 +59,35 @@ def test_character_route_refuses_a_bad_rank_or_genus(call, error):
     ("5", "rank '5' is not prime"),
     (5.0, "rank 5.0 is not prime"),
     (4, "rank 4 is not prime"),
+    # p^2 has no factor below p: a trial division that stops short of
+    # isqrt(n) takes a prime square for a prime.
+    *((n, f"rank {n} is not prime") for n in (9, 25, 49, 121, 169)),
 ])
 def test_require_prime_names_the_rank_by_its_repr(n, message):
     with pytest.raises(NotPrimeError) as caught:
         require_prime(n)
     assert str(caught.value) == message
+
+
+def _sieve(limit):
+    """The primes below limit, by the sieve of Eratosthenes."""
+    prime = [False, False] + [True] * (limit - 2)
+    for p in range(2, limit):
+        if prime[p]:
+            for multiple in range(p * p, limit, p):
+                prime[multiple] = False
+    return {n for n in range(limit) if prime[n]}
+
+
+def test_require_prime_agrees_with_a_sieve_up_to_1000():
+    primes = _sieve(1001)
+    for n in range(2, 1001):
+        if n in primes:
+            require_prime(n)
+        else:
+            with pytest.raises(NotPrimeError):
+                require_prime(n)
+
 
 
 def test_type_contribution_rank_two():
@@ -80,7 +109,7 @@ def test_every_route_runs_on_ints(n, g):
 @pytest.mark.parametrize("n,g", GRID)
 def test_both_routes_agree(n, g):
     params = ModuliParams(n, g)
-    assert evar_type_route(params) == evar_closed_route(params)
+    assert evar_type_route(params) * LaurentPoly({params.type_shift: 1}) == closed_e(params)
 
 
 def test_evar_small_values():
@@ -93,6 +122,7 @@ def test_evar_small_values():
 def test_evar_shift_reproduces_closed_e(n, g):
     params = ModuliParams(n, g)
     shift = (n * n + n - 2) * (g - 1)
+    assert params.type_shift == shift
     lifted = evar_from_types(params) * LaurentPoly({shift: 1})
     assert lifted == closed_e(params)
 
@@ -112,7 +142,6 @@ def test_identity_failure_is_detected(monkeypatch):
     # a corrupted route cannot sneak through evar_from_types
     import pwcheck.hookchar as hookchar
 
-    monkeypatch.setattr(hookchar, "evar_closed_route",
-                        lambda params: LaurentPoly.zero())
-    with pytest.raises(IdentityFailureError):
+    monkeypatch.setattr(hookchar, "closed_e", lambda params: LaurentPoly.zero())
+    with pytest.raises(InconsistentFormulaError):
         hookchar.evar_from_types(ModuliParams(2, 2))

@@ -5,6 +5,8 @@ raises.  The route must still return what it returns unpatched, so a
 change that lets one route reuse the other's value fails here.
 """
 
+import sys
+
 import pytest
 
 import pwcheck.epoly as epoly
@@ -53,6 +55,18 @@ def test_weight_route_does_not_bind_the_cross_check():
     # evar_from_types reads closed_e, so through it the weight table
     # would raise on a disagreement instead of reporting it.
     assert not hasattr(hitchin, "evar_from_types")
+
+
+def test_verify_does_not_run_the_library_cross_check(monkeypatch, capsys):
+    # evar-shift compares the shifted type route with closed_e itself: a
+    # comparison inside evar_from_types would raise on a disagreement
+    # before evar-shift could name the first unequal exponent.
+    cross_check = hookchar.evar_from_types
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pwcheck") and vars(module).get("evar_from_types") is cross_check:
+            monkeypatch.setattr(module, "evar_from_types", _forbidden(f"{name}.evar_from_types"))
+    assert main(["verify", "--n", "5", "--g", "3"]) == 0
+    assert "PASS evar-shift (shift q^56)" in capsys.readouterr().out.splitlines()
 
 
 KERNEL = [(LaurentPoly, "__mul__"), (LaurentPoly, "__rmul__"), (LaurentPoly, "__add__"),
