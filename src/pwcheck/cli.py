@@ -135,9 +135,9 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
     def curious():
         profile = variant_betti(params)
         center = params.half_dim + params.curious_shift
-        _, top = profile.support()
+        low, high = profile.support()
         detail = f"center {center}"
-        for i in range(1, top + 1):
+        for i in range(1, max(center - low, high - center) + 1):
             below, above = profile[center - i], profile[center + i]
             if below != above:
                 return False, (f"{detail}; first difference at offset {i}: "

@@ -109,11 +109,6 @@ def variant_bracket(n: int, g: int) -> LaurentPoly:
     return LaurentPoly._of(_signed_digits(value, width, big_n + 1))
 
 
-# The last (n, g) and its closed E-polynomial, shared (LaurentPoly is
-# immutable) by the eight calls of one verify; no other route reads it.
-_CLOSED_MEMO: dict[tuple[int, int], LaurentPoly] = {}
-
-
 def closed_e(params: ModuliParams) -> LaurentPoly:
     """Closed-form E-polynomial of the variant cohomology.
 
@@ -122,13 +117,9 @@ def closed_e(params: ModuliParams) -> LaurentPoly:
     coefficient, in the one pass that shifts the bracket by q^dim.
     """
     n, g = params.n, params.g
-    if (n, g) not in _CLOSED_MEMO:
-        scale, dim = n ** (2 * g) - 1, params.dim
-        bracket = variant_bracket(n, g)
-        _CLOSED_MEMO.clear()
-        _CLOSED_MEMO[n, g] = LaurentPoly._of(
-            {dim + e: _exact_quotient(scale * c, n) for e, c in bracket.terms()})
-    return _CLOSED_MEMO[n, g]
+    scale, dim = n ** (2 * g) - 1, params.dim
+    return LaurentPoly._of({dim + e: _exact_quotient(scale * c, n)
+                            for e, c in variant_bracket(n, g).terms()})
 
 
 def mirror_difference(params: ModuliParams) -> BiLaurentPoly:
@@ -138,20 +129,18 @@ def mirror_difference(params: ModuliParams) -> BiLaurentPoly:
         * (((u-1)(v-1))^{(n-1)(g-1)} - (S(u) S(v))^{g-1})
     with S(x) = 1 + x + ... + x^{n-1}.
     """
-    n, g = params.n, params.g
-    u_minus_1 = BiLaurentPoly({(1, 0): 1, (0, 0): -1})
-    v_minus_1 = BiLaurentPoly({(0, 1): 1, (0, 0): -1})
-    s_u = BiLaurentPoly({(e, 0): 1 for e in range(n)})
-    s_v = BiLaurentPoly({(0, e): 1 for e in range(n)})
-    m = params.half_dim
-    prefix = BiLaurentPoly({(m, m): n ** (2 * g) - 1})
-    # Each power has one variable, so its size grows linearly; the two
-    # products are outer products of univariate factors.
-    a, b = (n - 1) * (g - 1), g - 1
-    bracket = u_minus_1 ** a * v_minus_1 ** a - s_u ** b * s_v ** b
-    # The scale's 1/n comes last, as in closed_e, so the product runs on ints.
-    product = prefix * bracket
-    return product._divide_coefficients(n)
+    n, g, m = params.n, params.g, params.half_dim
+    scale = n ** (2 * g) - 1
+    # Each factor has one variable, so the bracket is an outer product
+    # A(u)A(v) - B(u)B(v) of A = (x-1)^{(n-1)(g-1)} and B = S(x)^{g-1},
+    # both of degree (n-1)(g-1).  The 1/n comes last, as in closed_e.
+    a = dict((LaurentPoly({1: 1, 0: -1}) ** ((n - 1) * (g - 1))).terms())
+    b = dict((LaurentPoly(dict.fromkeys(range(n), 1)) ** (g - 1)).terms())
+    degrees = a.keys() | b.keys()
+    bracket = ((i, j, a.get(i, 0) * a.get(j, 0) - b.get(i, 0) * b.get(j, 0))
+               for i in degrees for j in degrees)
+    return BiLaurentPoly._of({(m + i, m + j): _exact_quotient(scale * c, n)
+                              for i, j, c in bracket if c})
 
 
 class CohomologyProfile(_Graded):

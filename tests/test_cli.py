@@ -145,6 +145,16 @@ def test_curious_symmetry_failure_names_the_first_unequal_offset(capsys, monkeyp
            "H^13 = 160, H^15 = 161)")
 
 
+def test_curious_symmetry_scans_as_far_below_the_center_as_the_support_reaches(
+        capsys, monkeypatch):
+    # at (2, 2) the center is 5: H^1 lies 4 below it, with nothing above
+    monkeypatch.setattr(cli, "variant_betti", lambda params: CohomologyProfile({1: 1}))
+    code, out, _ = run(capsys, "verify", "--n", "2", "--g", "2")
+    assert code == 1
+    assert ("FAIL curious-symmetry (center 5; first difference at offset 4: "
+            "H^1 = 1, H^9 = 0)") in out.splitlines()
+
+
 def test_palindromic_failure_names_the_first_unequal_exponent(capsys, monkeypatch):
     # at (3, 2) closed_e is -160*q^17 + 80*q^18 - 160*q^19, weight 36
     monkeypatch.setattr(cli, "closed_e",
@@ -524,7 +534,6 @@ def test_a_non_integral_one_over_n_is_a_verification_failure(capsys, monkeypatch
     # ints: a failed check, never a coefficient printed as a fraction.
     bracket = epoly.variant_bracket
     monkeypatch.setattr(epoly, "variant_bracket", lambda n, g: bracket(n, g) + 1)
-    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
     code, out, err = run(capsys, verb, "--n", "3", "--g", "2")
     assert (code, out) == (1, "")
     assert err.startswith("verification failure: ") and err.count("\n") == 1

@@ -146,16 +146,14 @@ def test_euler_characteristic(n, g):
     assert variant_betti(params).euler() == EULER[(n, g)]
 
 
-def test_closed_e_is_built_once_per_rank_and_genus(monkeypatch):
-    built = []
+def test_closed_e_reads_the_bracket_on_every_call(monkeypatch):
+    # closed_e keeps nothing between calls: a patched bracket shows on the
+    # very next call at the (n, g) just computed.
+    params = ModuliParams(5, 2)
+    first = closed_e(params)
     bracket = epoly.variant_bracket
-    monkeypatch.setattr(epoly, "variant_bracket",
-                        lambda n, g: built.append((n, g)) or bracket(n, g))
-    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
-    first = closed_e(ModuliParams(5, 2))
-    assert closed_e(ModuliParams(5, 2, 3)) is first and built == [(5, 2)]
-    closed_e(ModuliParams(3, 2))
-    assert closed_e(ModuliParams(5, 2)) == first and built == [(5, 2), (3, 2), (5, 2)]
+    monkeypatch.setattr(epoly, "variant_bracket", lambda n, g: 2 * bracket(n, g))
+    assert closed_e(params) == 2 * first
 
 
 def test_mirror_difference_small_case():
@@ -163,7 +161,7 @@ def test_mirror_difference_small_case():
     assert got == BiLaurentPoly({(4, 3): -15, (3, 4): -15})
 
 
-@pytest.mark.parametrize("n,g", [(3, 2), (5, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("n,g", [(3, 2), (5, 2), (3, 3), (2, 4), (5, 3), (7, 2)])
 def test_mirror_difference_matches_the_dense_formula(n, g):
     # The docstring's formula, with the bivariate factors multiplied out
     # before they are raised to a power.

@@ -79,17 +79,27 @@ def test_the_closed_route_runs_off_the_polynomial_kernel(monkeypatch, n, g):
     # closed_e and variant_bracket are big-int arithmetic, so a kernel
     # fault can bend the type route and the mirror, never both routes.
     params = ModuliParams(n, g)
-    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
     expected = epoly.closed_e(params), epoly.variant_bracket(n, g)
-    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
     for cls, name in KERNEL:
         monkeypatch.setattr(cls, name, _forbidden(f"{cls.__name__}.{name}"))
     assert (epoly.closed_e(params), epoly.variant_bracket(n, g)) == expected
 
 
+@pytest.mark.parametrize("n,g", POINTS)
+def test_the_mirror_runs_on_the_polynomial_kernel(monkeypatch, n, g):
+    # The mirror's univariate powers are the kernel's, so the kernel is
+    # checked against the closed route by mirror-diagonal as well.
+    params = ModuliParams(n, g)
+    for cls, name in KERNEL:
+        monkeypatch.setattr(cls, name, _forbidden(f"{cls.__name__}.{name}"))
+    with pytest.raises(AssertionError, match="was called"):
+        epoly.mirror_difference(params)
+    assert epoly.closed_e(params)
+
+
 def test_a_kernel_fault_that_bends_the_type_route_fails_evar_shift(monkeypatch, capsys):
-    # A LaurentPoly ** that drops its top term: the type route takes its
-    # powers on the dict kernel, closed_e does not.
+    # A LaurentPoly ** that drops its top term: the type route and the
+    # mirror take their powers on the dict kernel, closed_e does not.
     power = _SparsePoly._power
 
     def drops_its_top_term(self, e):
@@ -98,11 +108,11 @@ def test_a_kernel_fault_that_bends_the_type_route_fails_evar_shift(monkeypatch, 
         return LaurentPoly(terms)
 
     params = ModuliParams(5, 3)
-    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
     expected = epoly.closed_e(params)
-    monkeypatch.setattr(epoly, "_CLOSED_MEMO", {})
     monkeypatch.setattr(LaurentPoly, "_power", drops_its_top_term)
     assert main(["verify", "--n", "5", "--g", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("FAIL evar-shift (") for line in lines)
+    assert ("FAIL mirror-diagonal (u=v=q; first difference at q^105: "
+            "mirror diagonal = -35935200, closed_e = -35997696)") in lines
     assert epoly.closed_e(params) == expected
