@@ -1,19 +1,21 @@
 """The immutable-value core every pwcheck value class builds on.
 
-Stdlib only, and nothing from the package: both ``laurent`` and
-``filtration`` build on it, through one checking constructor and one
-trusted ``_of``.  ``json`` is imported only to read JSON; writing it
-takes the one C string encoder from ``_json``, imported where it is
-used, so that a text or CSV call loads neither.  It also holds the one
-integer rule: an integer input is an exact ``int``, never a bool or a
-subclass; and the two roots under which the package raises an input it
-refuses and a check it saw fail.
+Stdlib only, and nothing from the package.  It holds every private
+value base: ``Frozen``; the sparse map of ``laurent``, with one checking
+constructor, one trusted ``_of`` and ``items``, the one reader in key
+order; the graded map of ``filtration`` and ``epoly``; and the record.
+``json`` is imported only to read JSON; writing it takes the one C
+string encoder from ``_json``, imported where it is used, so that a text
+or CSV call loads neither.  It also holds the one integer rule: an
+integer input is an exact ``int``, never a bool or a subclass; and the
+two roots under which the package raises an input it refuses and a
+check it saw fail.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 
 class DomainError(ValueError):
@@ -110,11 +112,11 @@ class Frozen:
 
 
 class SparseMap(Frozen):
-    """An immutable dict ``_c`` of nonzero entries, hashed and printed in
-    key order.  The constructor checks each entry of outside input with
-    the subclass's ``_key`` and ``_value(key, value)``; ``_of`` wraps a
-    dict built from checked entries.  A subclass reads its wire form in
-    ``from_json_obj``.
+    """An immutable dict ``_c`` of nonzero entries, read by ``items``,
+    hashed and printed in key order.  The constructor checks each entry
+    of outside input with the subclass's ``_key`` and
+    ``_value(key, value)``; ``_of`` wraps a dict built from checked
+    entries.  A subclass reads its wire form in ``from_json_obj``.
     """
 
     __slots__ = ("_c",)
@@ -148,14 +150,82 @@ class SparseMap(Frozen):
             return self._c == other._c
         return NotImplemented
 
+    def items(self) -> Iterator[tuple[object, object]]:
+        """(key, value) pairs in increasing key order."""
+        for key in sorted(self._c):
+            yield key, self._c[key]
+
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
+        return hash(tuple(self.items()))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v!r}" for k, v in sorted(self._c.items()))
+        inner = ", ".join(f"{k}: {v!r}" for k, v in self.items())
         return f"{type(self).__name__}({{{inner}}})"
 
     @classmethod
     def from_json(cls, text: str) -> SparseMap:
         import json
         return cls.from_json_obj(json.loads(text, object_pairs_hook=dict_of_pairs))
+
+
+class _Graded(SparseMap):
+    """Immutable map from keys to positive ints; absent keys read 0.
+
+    The code FiltrationTable and CohomologyProfile share.  A subclass sets
+    ``_key``, which checks and normalises a key, and ``_BAD_VALUE``, which
+    ``_value`` raises, with ``{}`` for the key, unless a value is an int >= 0.
+    """
+
+    __slots__ = ()
+
+    def _value(self, key: object, value: object) -> int:
+        if type(value) is not int or value < 0:
+            raise ValueError(self._BAD_VALUE.format(key))
+        return value
+
+    def __len__(self) -> int:
+        return len(self._c)
+
+    def total(self) -> int:
+        return sum(self._c.values())
+
+
+class _Record(Frozen):
+    """Immutable record of named fields, equal to a record of its own class
+    with equal fields, printed as ``Name(field=value, ...)``.
+
+    A subclass lists its field names, in order, as ``__slots__``; it is
+    built from them positionally or by keyword.  A dataclass would do the
+    same, but importing ``dataclasses`` loads ``inspect`` and ``ast``, and
+    every CLI call pays for that at start-up.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object):
+        names = self.__slots__
+        given = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in given:
+                raise TypeError(
+                    f"{type(self).__name__}() got an unexpected or repeated argument {name!r}")
+            given[name] = value
+        if len(args) > len(names) or len(given) < len(names):
+            raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, given[name])
+
+    def _args(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._args() == other._args()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._args())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({inner})"

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-from ._frozen import DomainError, VerificationError, read_int, require_int
-from .filtration import _Graded, _Record
+from ._frozen import DomainError, VerificationError, _Graded, _Record, read_int, require_int
 from .laurent import BiLaurentPoly, LaurentPoly, _exact_quotient
 
 

@@ -19,7 +19,7 @@ import itertools
 from collections.abc import Iterable, Iterator
 
 from ._frozen import (
-    DomainError, Frozen, SparseMap, VerificationError, dict_of_pairs, is_int_pair,
+    DomainError, SparseMap, VerificationError, _Graded, _Record, dict_of_pairs, is_int_pair,
     require_int)
 
 # The most (table, m, k) cases a search visits unless given a budget.
@@ -33,73 +33,6 @@ class BudgetExceededError(DomainError):
 class Criterion(enum.Enum):
     FIRST = "first"
     SECOND = "second"
-
-
-class _Graded(SparseMap):
-    """Immutable map from keys to positive ints; absent keys read 0.
-
-    The code FiltrationTable and CohomologyProfile share.  A subclass sets
-    ``_key``, which checks and normalises a key, and ``_BAD_VALUE``, which
-    ``_value`` raises, with ``{}`` for the key, unless a value is an int >= 0.
-    """
-
-    __slots__ = ()
-
-    def _value(self, key: object, value: object) -> int:
-        if type(value) is not int or value < 0:
-            raise ValueError(self._BAD_VALUE.format(key))
-        return value
-
-    def items(self) -> Iterator[tuple[object, int]]:
-        for key in sorted(self._c):
-            yield key, self._c[key]
-
-    def __len__(self) -> int:
-        return len(self._c)
-
-    def total(self) -> int:
-        return sum(self._c.values())
-
-
-class _Record(Frozen):
-    """Immutable record of named fields, equal to a record of its own class
-    with equal fields, printed as ``Name(field=value, ...)``.
-
-    A subclass lists its field names, in order, as ``__slots__``; it is
-    built from them positionally or by keyword.  A dataclass would do the
-    same, but importing ``dataclasses`` loads ``inspect`` and ``ast``, and
-    every CLI call pays for that at start-up.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *args: object, **kwargs: object):
-        names = self.__slots__
-        given = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names or name in given:
-                raise TypeError(
-                    f"{type(self).__name__}() got an unexpected or repeated argument {name!r}")
-            given[name] = value
-        if len(args) > len(names) or len(given) < len(names):
-            raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(names)}")
-        for name in names:
-            object.__setattr__(self, name, given[name])
-
-    def _args(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is type(self):
-            return self._args() == other._args()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._args())
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({inner})"
 
 
 class FiltrationTable(_Graded):

@@ -11,13 +11,9 @@ the level of graded dimensions.
 
 from __future__ import annotations
 
+from ._frozen import _Record
 from .epoly import InconsistentFormulaError, ModuliParams, variant_betti
-from .filtration import (
-    FiltrationTable,
-    _Record,
-    check_first_criterion,
-    check_second_criterion,
-)
+from .filtration import FiltrationTable, check_first_criterion, check_second_criterion
 from .hookchar import evar_type_route
 
 

@@ -36,13 +36,6 @@ def special_hook(kind: SpecialType, n: int) -> LaurentPoly:
     return shift * LaurentPoly({0: 1, n: -1})
 
 
-def _count_numerator(kind: SpecialType, n: int, g: int) -> int:
-    """n times the number of characters in the family, up to the shared
-    scale: n^{2g} - 1 for the split family and 1 - n^{2g} for the nonsplit one."""
-    power = n ** (2 * g)
-    return power - 1 if kind is SpecialType.SPLIT else 1 - power
-
-
 def type_contribution(hook: LaurentPoly, g: int) -> LaurentPoly:
     """(hook / (q - 1))^{2g-2}, for a special hook and genus g.
 
@@ -59,11 +52,10 @@ def evar_type_route(params: ModuliParams) -> LaurentPoly:
     evar-shift check and of weight_table.
     """
     n, g = params.n, params.g
-    total = LaurentPoly.zero()
-    for kind in SpecialType:
-        hook = special_hook(kind, n)
-        total = total + _count_numerator(kind, n, g) * type_contribution(hook, g)
-    return total._divide_coefficients(n)
+    # n times each family's signed count, up to the shared scale, is
+    # n^{2g} - 1 for the split family and 1 - n^{2g} for the nonsplit one.
+    split, nonsplit = (type_contribution(special_hook(kind, n), g) for kind in SpecialType)
+    return ((n ** (2 * g) - 1) * (split - nonsplit))._divide_coefficients(n)
 
 
 def evar_from_types(params: ModuliParams) -> LaurentPoly:

@@ -15,8 +15,6 @@ q - 2 + q^-1
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from ._frozen import (
     SparseMap, VerificationError, dict_of_pairs, is_int_pair, read_int, require_int)
 
@@ -94,10 +92,7 @@ class _SparsePoly(SparseMap):
     def one(cls) -> _SparsePoly:
         return cls._of({cls._UNIT: 1})
 
-    def terms(self) -> Iterator[tuple[object, int]]:
-        """(key, coefficient) pairs in increasing key order."""
-        for key in sorted(self._c):
-            yield key, self._c[key]
+    terms = SparseMap.items  # (key, coefficient) pairs in increasing key order
 
     def _divide_coefficients(self, n: int) -> _SparsePoly:
         """This polynomial with every coefficient divided by n; raises
@@ -275,7 +270,7 @@ class LaurentPoly(_SparsePoly):
 
     def to_json_obj(self) -> list[list]:
         """Sorted [[2 * exponent, "coefficient"], ...] with exact strings."""
-        return [[2 * t, str(c)] for t, c in sorted(self._c.items())]
+        return [[2 * t, str(c)] for t, c in self.items()]
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "LaurentPoly":
@@ -357,7 +352,7 @@ class BiLaurentPoly(_SparsePoly):
         return LaurentPoly._of(_normal(data))
 
     def to_json_obj(self) -> list[list]:
-        return [[2 * a, 2 * b, str(c)] for (a, b), c in sorted(self._c.items())]
+        return [[2 * a, 2 * b, str(c)] for (a, b), c in self.items()]
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "BiLaurentPoly":

@@ -11,8 +11,12 @@ and `numbers` are never needed.  `argparse`
 7 ms of start-up with its parser built, so a plain command line is
 parsed without it.  The child runs under `python -S`, because a `site`
 `.pth` file may import `typing` before pwcheck does.
+
+The package's own modules import each other in layers: the formulas
+(`epoly`) never reach the criteria that judge their tables (`filtration`).
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -105,3 +109,33 @@ def test_a_plain_command_line_loads_no_argparse(argv):
 
 def test_help_still_goes_through_argparse():
     assert "argparse" in _loaded(ARGPARSE, ["--help"])
+
+
+# The package modules each module may import; `cli` and `__init__` sit on
+# top and may import any.
+LAYERS = {
+    "_frozen": set(),
+    "laurent": {"_frozen"},
+    "filtration": {"_frozen"},
+    "epoly": {"_frozen", "laurent"},
+    "hookchar": {"_frozen", "epoly", "laurent"},
+    "hitchin": {"_frozen", "epoly", "filtration", "hookchar"},
+}
+TOP = {"cli", "__init__"}
+
+
+def _package_imports(path):
+    """The package modules that the `from .x import` lines of path name."""
+    return {node.module for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level}
+
+
+def test_every_module_has_a_layer():
+    modules = {path.stem for path in (SRC / "pwcheck").glob("*.py")}
+    assert modules == LAYERS.keys() | TOP
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_a_module_imports_only_the_layers_below_it(module):
+    imported = _package_imports(SRC / "pwcheck" / f"{module}.py")
+    assert imported <= LAYERS[module], f"{module} imports {sorted(imported - LAYERS[module])}"

@@ -2,7 +2,10 @@
 
 Every function the other route is built from is swapped for one that
 raises.  The route must still return what it returns unpatched, so a
-change that lets one route reuse the other's value fails here.
+change that lets one route reuse the other's value fails here.  A
+profile hook then records every function a route enters, by its code
+object, so a call through a binding the swap cannot reach, such as a
+captured default argument, fails too.
 """
 
 import sys
@@ -49,6 +52,41 @@ def test_route_never_calls_the_other_route(monkeypatch, route, others, n, g):
     for module, name in others:
         monkeypatch.setattr(module, name, _forbidden(f"{module.__name__}.{name}"))
     assert route(params) == expected
+
+
+def _entered(route, params):
+    """The names, as module.qualname, of the pwcheck functions route(params) enters."""
+    modules = {module.__file__: name for name, module in sys.modules.items()
+               if name.startswith("pwcheck")}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in modules:
+            entered.add(f"{modules[frame.f_code.co_filename]}.{frame.f_code.co_qualname}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        route(params)
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+CLOSED = {"pwcheck.epoly.closed_e", "pwcheck.epoly.variant_bracket"}
+
+
+@pytest.mark.parametrize("n,g", POINTS)
+def test_each_route_enters_none_of_the_other_route(n, g):
+    params = ModuliParams(n, g)
+    perverse = _entered(hitchin.perverse_table, params)
+    assert not {name for name in perverse if name.startswith("pwcheck.hookchar.")}
+    assert not _entered(epoly.mirror_difference, params) & CLOSED
+    assert not _entered(hookchar.evar_type_route, params) & CLOSED
+    weight = _entered(hitchin.weight_table, params)
+    assert not weight & (CLOSED | {"pwcheck.epoly.variant_betti"})
+    assert "pwcheck.hookchar.evar_type_route" in weight
+    assert "pwcheck.epoly.closed_e" in perverse
 
 
 def test_weight_route_does_not_bind_the_cross_check():
