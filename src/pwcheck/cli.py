@@ -125,12 +125,12 @@ def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
         low, high = variant_betti(params).support()
         floor = 2 * params.curious_shift + 1
         top = params.dim - 1
+        # variant_bracket runs from q^1 to q^((n-1)(2g-2)-1), so the support is [floor, top].
         detail = f"[{low},{high}] within [{floor},{top}]"
-        if low < floor:
-            detail += f"; low end {low} < {floor}"
-        if high > top:
-            detail += f"; high end {high} > {top}"
-        return low >= floor and high <= top, detail
+        for end, value, bound in (("low", low, floor), ("high", high, top)):
+            if value != bound:
+                detail += f"; {end} end {value} {'<' if value < bound else '>'} {bound}"
+        return low == floor and high == top, detail
 
     def curious():
         profile = variant_betti(params)

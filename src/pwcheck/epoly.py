@@ -68,44 +68,25 @@ class ModuliParams(_Record):
         return (n * n + n - 2) * (self.g - 1)
 
 
-def _digit_bytes(bound: int) -> int:
-    """Bytes per digit of a radix X = 256**width with X > 2 * bound, so
-    that signed digits of magnitude at most bound read back unchanged."""
-    return (2 * bound).bit_length() // 8 + 1
-
-
-def _signed_digits(value: int, width: int, count: int) -> dict[int, int]:
-    """{i: d_i} for the nonzero d_i of value = sum of d_i * X**i over
-    i < count, with X = 256**width and every |d_i| < X/2.
-
-    Adding X/2 to every digit makes each one a nonnegative byte string of
-    the sum, so the digits are slices of its to_bytes.
-    """
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    raw = (value + offset).to_bytes(width * count, "little")
-    digits = (int.from_bytes(raw[at:at + width], "little") - half
-              for at in range(0, width * count, width))
-    return {i: digit for i, digit in enumerate(digits) if digit}
-
-
 def variant_bracket(n: int, g: int) -> LaurentPoly:
     """(q-1)^{(n-1)(2g-2)} - (1+q+...+q^{n-1})^{2g-2}.
 
     The common factor of the closed E-polynomial and of the point-count
-    route; everything variant-specific lives in the prefactor.  Built by
-    Kronecker substitution, apart from the polynomial kernel: both powers
-    are taken at q = X = 256**width in ints and the difference is read
-    back digit by digit.  A coefficient of (q-1)^N is at most 2^N in size
-    and one of S^M, S = 1+q+...+q^{n-1}, is in [0, n^M], so
-    X > 2 * (2^N + n^M) keeps the digits apart.
+    route; everything variant-specific lives in the prefactor.  Built
+    from binomial sums, off the polynomial kernel.  With N = (n-1)(2g-2)
+    and M = 2g-2, (q-1)^N has (-1)^{N-k} C(N,k) at q^k, and
+    S^M = (1-q^n)^M / (1-q)^M is the series C(k+M-1, M-1) of 1/(1-q)^M
+    plus its copies moved up by jn and scaled by (-1)^j C(M,j), for the
+    j = 1..N//n (all below M) that reach degree N.
     """
-    big_n, big_m = (n - 1) * (2 * g - 2), 2 * g - 2
-    width = _digit_bytes(2 ** big_n + n ** big_m)
-    x = 1 << (8 * width)
-    value = (x - 1) ** big_n - ((x ** n - 1) // (x - 1)) ** big_m
-    # Both powers are monic of degree N, so the digit at N is 0.
-    return LaurentPoly._of(_signed_digits(value, width, big_n + 1))
+    big_m = 2 * g - 2
+    big_n = (n - 1) * big_m
+    series = [math.comb(k + big_m - 1, k) for k in range(big_n + 1)]
+    bracket = [(-1) ** (big_n - k) * math.comb(big_n, k) - s for k, s in enumerate(series)]
+    for j in range(1, big_n // n + 1):
+        scale = (-1) ** j * math.comb(big_m, j)
+        bracket[j * n:] = [c - scale * s for c, s in zip(bracket[j * n:], series)]
+    return LaurentPoly._of({k: c for k, c in enumerate(bracket) if c})
 
 
 def closed_e(params: ModuliParams) -> LaurentPoly:

@@ -138,6 +138,13 @@ def test_support_bound_failure_names_the_high_end(capsys, monkeypatch):
         1, "FAIL support-bound ([13,16] within [13,15]; high end 16 > 15)")
 
 
+def test_support_bound_fails_on_a_support_short_of_the_floor(capsys, monkeypatch):
+    # the support is exactly [floor, top], so [floor+1, top] fails too
+    _with_betti(monkeypatch, lambda betti: {d: v for d, v in betti.items() if d != 13})
+    assert _verify_line(capsys, "support-bound") == (
+        1, "FAIL support-bound ([14,15] within [13,15]; low end 14 > 13)")
+
+
 def test_curious_symmetry_failure_names_the_first_unequal_offset(capsys, monkeypatch):
     _with_betti(monkeypatch, lambda betti: {**betti, 15: 161})
     assert _verify_line(capsys, "curious-symmetry") == (

@@ -2,8 +2,6 @@ import enum
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 import pwcheck.epoly as epoly
 from pwcheck import DomainError
@@ -16,7 +14,7 @@ from pwcheck.epoly import (
     mirror_difference,
     variant_betti,
 )
-from pwcheck.laurent import BiLaurentPoly
+from pwcheck.laurent import BiLaurentPoly, LaurentPoly
 
 # Reference values computed with the standalone convolution oracle below
 # and frozen.  Keys are plain q-exponents.
@@ -92,36 +90,13 @@ def test_closed_e_agrees_with_convolution_oracle(n, g):
     assert dict(closed_e(ModuliParams(n, g)).terms()) == _oracle_closed_e(n, g)
 
 
-def _encode(digits, width):
-    """sum of digits[i] * X**i with X = 256**width."""
-    return sum(d * 256 ** (width * i) for i, d in digits.items())
-
-
-@given(st.integers(1, 3).flatmap(lambda width: st.tuples(
-    st.just(width),
-    st.lists(st.integers(1 - 128 * 256 ** (width - 1), 128 * 256 ** (width - 1) - 1),
-             max_size=12))))
-@example((1, [5, -3, 0]))   # a zero top digit
-@example((1, [0, 127, -127]))   # a negative top digit, so a negative value
-@example((2, []))
-def test_signed_digits_read_back_every_digit(case):
-    width, digits = case
-    digits = {i: d for i, d in enumerate(digits) if d}
-    assert epoly._signed_digits(_encode(digits, width), width, len(case[1])) == digits
-
-
-@pytest.mark.parametrize("n,g", [(2, 2), (3, 2), (5, 3), (13, 4), (17, 3), (13, 8), (31, 4)])
-def test_digits_at_the_coefficient_bound_read_back(n, g):
-    # |coefficient| <= 2^N + n^M in the bracket, so a digit of that size,
-    # of either sign, next to its negative, must come back unchanged.
+@pytest.mark.parametrize("n,g", [(n, g) for n in (2, 3, 5, 7, 11, 13) for g in range(2, 9)])
+def test_the_bracket_equals_both_powers_on_the_dict_kernel(n, g):
+    # The binomial sums against (q-1)^N - S^M taken by LaurentPoly **.
     big_n, big_m = (n - 1) * (2 * g - 2), 2 * g - 2
-    bound = 2 ** big_n + n ** big_m
-    width = epoly._digit_bytes(bound)
-    assert 256 ** width > 2 * bound
-    for sign in (1, -1):
-        digits = {i: sign * (-1) ** i * bound for i in range(big_n)}
-        got = epoly._signed_digits(_encode(digits, width), width, big_n + 1)
-        assert got == digits
+    powers = (LaurentPoly({1: 1, 0: -1}) ** big_n
+              - LaurentPoly(dict.fromkeys(range(n), 1)) ** big_m)
+    assert epoly.variant_bracket(n, g) == powers
 
 
 @pytest.mark.parametrize("n,g", [(2, 2), (3, 2), (5, 3), (13, 4), (31, 4)])

@@ -114,13 +114,23 @@ KERNEL = [(LaurentPoly, "__mul__"), (LaurentPoly, "__rmul__"), (LaurentPoly, "__
 
 @pytest.mark.parametrize("n,g", [*POINTS, (13, 4)])
 def test_the_closed_route_runs_off_the_polynomial_kernel(monkeypatch, n, g):
-    # closed_e and variant_bracket are big-int arithmetic, so a kernel
+    # closed_e and variant_bracket are binomial sums on ints, so a kernel
     # fault can bend the type route and the mirror, never both routes.
     params = ModuliParams(n, g)
     expected = epoly.closed_e(params), epoly.variant_bracket(n, g)
     for cls, name in KERNEL:
         monkeypatch.setattr(cls, name, _forbidden(f"{cls.__name__}.{name}"))
     assert (epoly.closed_e(params), epoly.variant_bracket(n, g)) == expected
+
+
+@pytest.mark.parametrize("n,g", POINTS)
+def test_the_closed_route_enters_no_kernel_method(n, g):
+    # The trace also sees a kernel method reached through a binding the
+    # patching above cannot swap, such as a captured default argument.
+    qualnames = {name.split(".", 2)[2] for name in _entered(epoly.closed_e, ModuliParams(n, g))}
+    assert "variant_bracket" in qualnames
+    assert not {name for name in qualnames
+                if name.startswith(("LaurentPoly.", "_SparsePoly.", "BiLaurentPoly."))}
 
 
 @pytest.mark.parametrize("n,g", POINTS)
