@@ -4,18 +4,17 @@ Stdlib only, and nothing from the package.  It holds every private
 value base: ``Frozen``; the sparse map of ``laurent``, with one checking
 constructor, one trusted ``_of`` and ``items``, the one reader in key
 order; the graded map of ``filtration`` and ``epoly``; and the record.
-``json`` is imported only to read JSON; writing it takes the one C
-string encoder from ``_json``, imported where it is used, so that a text
-or CSV call loads neither.  It also holds the one integer rule: an
-integer input is an exact ``int``, never a bool or a subclass; and the
-two roots under which the package raises an input it refuses and a
-check it saw fail.
+The JSON form is written, never read: writing it takes the one C string
+encoder from ``_json``, imported where it is used, so that no call loads
+``json`` and a text or CSV call loads neither.  It also holds the one
+integer rule: an integer input is an exact ``int``, never a bool, a str
+or a subclass; and the two roots under which the package raises an
+input it refuses and a check it saw fail.
 """
 
 from __future__ import annotations
 
-import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 
 class DomainError(ValueError):
@@ -32,27 +31,9 @@ def require_int(value: object, low: int, message: str) -> None:
         raise DomainError(message)
 
 
-def read_int(value: object) -> int | None:
-    """value as an int if it is an exact int or the canonical decimal str
-    of one, as the JSON form writes it (no leading zero, no "-0"); else None."""
-    if type(value) is int or isinstance(value, str) and re.fullmatch(r"0|-?[1-9][0-9]*", value):
-        return int(value)
-    return None
-
-
 def is_int_pair(key: object) -> bool:
     """True when key is a tuple of two exact ints."""
     return type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int
-
-
-def dict_of_pairs(pairs: Iterable[tuple]) -> dict:
-    """dict(pairs) for a JSON reader, list form or object, but a repeated key raises ValueError."""
-    data: dict = {}
-    for key, value in pairs:
-        if key in data:
-            raise ValueError(f"the list repeats the key {key!r}")
-        data[key] = value
-    return data
 
 
 def compact_json(obj: object) -> str:
@@ -116,7 +97,7 @@ class SparseMap(Frozen):
     hashed and printed in key order.  The constructor checks each entry
     of outside input with the subclass's ``_key`` and
     ``_value(key, value)``; ``_of`` wraps a dict built from checked
-    entries.  A subclass reads its wire form in ``from_json_obj``.
+    entries.
     """
 
     __slots__ = ("_c",)
@@ -124,12 +105,10 @@ class SparseMap(Frozen):
     def __init__(self, entries: Mapping | None = None):
         data: dict = {}
         for key, value in (entries or {}).items():
-            normal = self._key(key)
+            key = self._key(key)
             value = self._value(key, value)
             if value:
-                if normal in data:  # two keys, such as 2 and "2", for one entry
-                    raise ValueError(f"key {key!r} repeats the key {normal!r}")
-                data[normal] = value
+                data[key] = value
         object.__setattr__(self, "_c", data)
 
     @classmethod
@@ -162,17 +141,12 @@ class SparseMap(Frozen):
         inner = ", ".join(f"{k}: {v!r}" for k, v in self.items())
         return f"{type(self).__name__}({{{inner}}})"
 
-    @classmethod
-    def from_json(cls, text: str) -> SparseMap:
-        import json
-        return cls.from_json_obj(json.loads(text, object_pairs_hook=dict_of_pairs))
-
 
 class _Graded(SparseMap):
     """Immutable map from keys to positive ints; absent keys read 0.
 
     The code FiltrationTable and CohomologyProfile share.  A subclass sets
-    ``_key``, which checks and normalises a key, and ``_BAD_VALUE``, which
+    ``_key``, which checks a key and returns it, and ``_BAD_VALUE``, which
     ``_value`` raises, with ``{}`` for the key, unless a value is an int >= 0.
     """
 

@@ -9,9 +9,8 @@ refinement, and the variant Betti numbers read off from it.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 
-from ._frozen import DomainError, VerificationError, _Graded, _Record, read_int, require_int
+from ._frozen import DomainError, VerificationError, _Graded, _Record, require_int
 from .laurent import BiLaurentPoly, LaurentPoly, _exact_quotient
 
 
@@ -133,11 +132,10 @@ class CohomologyProfile(_Graded):
     _BAD_VALUE = "dimension at degree {} must be a nonnegative int"
 
     @staticmethod
-    def _key(degree: int | str) -> int:
-        number = read_int(degree)  # an int, or the str to_json_obj writes for one
-        if number is None:
-            raise ValueError(f"degree {degree!r} must be an int or its decimal str")
-        return number
+    def _key(degree: int) -> int:
+        if type(degree) is not int:
+            raise ValueError(f"degree {degree!r} must be an int")
+        return degree
 
     def __getitem__(self, degree: int) -> int:
         return self._c.get(degree, 0)
@@ -165,10 +163,6 @@ class CohomologyProfile(_Graded):
 
     def to_json_obj(self) -> dict[str, int]:
         return {str(d): v for d, v in self.items()}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping[str, int]) -> "CohomologyProfile":
-        return cls(obj)
 
 
 def variant_betti(params: ModuliParams) -> CohomologyProfile:

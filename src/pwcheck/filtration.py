@@ -19,8 +19,7 @@ import itertools
 from collections.abc import Iterable, Iterator
 
 from ._frozen import (
-    DomainError, SparseMap, VerificationError, _Graded, _Record, dict_of_pairs, is_int_pair,
-    require_int)
+    DomainError, SparseMap, VerificationError, _Graded, _Record, is_int_pair, require_int)
 
 # The most (table, m, k) cases a search visits unless given a budget.
 DEFAULT_BUDGET = 10 ** 7
@@ -72,10 +71,6 @@ class FiltrationTable(_Graded):
 
     def to_json_obj(self) -> list[list[int]]:
         return [[i, j, v] for (i, j), v in self.items()]
-
-    @classmethod
-    def from_json_obj(cls, obj: list) -> "FiltrationTable":
-        return cls(dict_of_pairs(((i, j), v) for i, j, v in obj))
 
 
 def _require_mk(m: int, k: int) -> None:

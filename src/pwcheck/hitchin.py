@@ -4,9 +4,10 @@ Both tables record graded dimensions at cells (i, j) where i is the
 filtration level and j = degree - i.  The perverse side is built from
 the variant Betti numbers of the closed E-polynomial; the weight side
 is read off the character-sum E-polynomial, with the jump of W_{2i}
-stored at level i.  The two constructions are independent routes to
-the same table, so their literal equality is the P = W statement at
-the level of graded dimensions.
+stored at level i.  Their literal equality is the P = W statement at
+the level of graded dimensions.  The routes are independent in code and
+kernel, not in mathematics: both read the bracket (q-1)^N - S^M, so they
+catch a kernel fault or a slip in one side, not a bracket wrong in both.
 """
 
 from __future__ import annotations

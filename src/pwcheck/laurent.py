@@ -2,9 +2,9 @@
 
 Exponents are integers: the key ``3`` means ``q**3``.  Every coefficient
 is an exact ``int``, never a float, so equality is exact; a division that
-would leave the integers raises InexactDivisionError.  The JSON form
-writes each coefficient as its decimal str, and each exponent doubled
-for compatibility; it reads back only even keys.
+would leave the integers raises InexactDivisionError.  The JSON form,
+which is written and never read, holds each coefficient as its decimal
+str and each exponent doubled for compatibility.
 
 >>> p = LaurentPoly({1: 1, 0: -2, -1: 1})      # q - 2 + q**-1
 >>> print(p * p)
@@ -15,8 +15,7 @@ q - 2 + q^-1
 
 from __future__ import annotations
 
-from ._frozen import (
-    SparseMap, VerificationError, dict_of_pairs, is_int_pair, read_int, require_int)
+from ._frozen import SparseMap, VerificationError, is_int_pair, require_int
 
 
 class InexactDivisionError(VerificationError):
@@ -34,13 +33,6 @@ def _exact_quotient(x: int, y: int) -> int:
 def _normal(data: dict) -> dict:
     """data without its zero coefficients."""
     return {k: c for k, c in data.items() if c}
-
-
-def _from_twice(key: object) -> int:
-    """A twice-exponent key of the JSON form as the exponent it doubles."""
-    if type(key) is not int or key % 2:
-        raise ValueError(f"twice-exponent key {key!r} must be an even int")
-    return key // 2
 
 
 def _format_q_power(e: int) -> str:
@@ -77,12 +69,10 @@ class _SparsePoly(SparseMap):
 
     __slots__ = ()
 
-    def _value(self, key: object, value: int | str) -> int:
-        number = read_int(value)  # an int, or the decimal str the JSON form writes
-        if number is None:
-            error = ValueError if isinstance(value, str) else TypeError
-            raise error(f"coefficient {value!r} must be an int or its decimal str")
-        return number
+    def _value(self, key: object, value: object) -> int:
+        if type(value) is not int:
+            raise TypeError(f"coefficient {value!r} must be an int")
+        return value
 
     @classmethod
     def zero(cls) -> _SparsePoly:
@@ -159,10 +149,10 @@ class LaurentPoly(_SparsePoly):
     The constructor takes a mapping from exponents to coefficients.
     Zero coefficients are dropped, so the zero polynomial is falsy.
 
-    Coefficients are ints; the decimal str of one, as the JSON form
-    writes it, is read as that int.
+    Coefficients are ints; anything else, even the decimal str of one,
+    raises TypeError.
 
-    >>> LaurentPoly({2: 3, 0: "-1"})
+    >>> LaurentPoly({2: 3, 0: -1})
     LaurentPoly({0: -1, 2: 3})
     >>> bool(LaurentPoly({}))
     False
@@ -272,10 +262,6 @@ class LaurentPoly(_SparsePoly):
         """Sorted [[2 * exponent, "coefficient"], ...] with exact strings."""
         return [[2 * t, str(c)] for t, c in self.items()]
 
-    @classmethod
-    def from_json_obj(cls, obj: list) -> "LaurentPoly":
-        return cls(dict_of_pairs((_from_twice(t), c) for t, c in obj))
-
 
 class BiLaurentPoly(_SparsePoly):
     """Sparse Laurent polynomial in two variables u, v.
@@ -353,7 +339,3 @@ class BiLaurentPoly(_SparsePoly):
 
     def to_json_obj(self) -> list[list]:
         return [[2 * a, 2 * b, str(c)] for (a, b), c in self.items()]
-
-    @classmethod
-    def from_json_obj(cls, obj: list) -> "BiLaurentPoly":
-        return cls(dict_of_pairs(((_from_twice(a), _from_twice(b)), c) for a, b, c in obj))

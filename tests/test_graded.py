@@ -1,9 +1,8 @@
 """The graded-dimension core shared by FiltrationTable and CohomologyProfile,
-the key and value checks of the graded and polynomial constructors, and
-the JSON readers, which accept only what the constructors accept."""
+and the key and value checks of the graded and polynomial constructors."""
 
 import enum
-import re
+import json
 
 import pytest
 
@@ -19,10 +18,10 @@ CASES = [
     pytest.param(CohomologyProfile, {3: 2, 1: 5, 7: 0},
                  "CohomologyProfile({1: 5, 3: 2})", '{"1":5,"3":2}', 6,
                  id="profile"),
-    # A degree may also come as the str to_json_obj writes for it.
-    pytest.param(CohomologyProfile, {"-2": 1, 0: 4, "13": 0},
+    # A degree may be negative; the wire writes it as its decimal str.
+    pytest.param(CohomologyProfile, {-2: 1, 0: 4, 13: 0},
                  "CohomologyProfile({-2: 1, 0: 4})", '{"-2":1,"0":4}', 13,
-                 id="profile-str-degrees"),
+                 id="profile-negative-degree"),
 ]
 
 
@@ -42,7 +41,7 @@ def test_shared_core(cls, cells, text, wire, key):
     assert len(g) == 2 and g and g.total() == sum(cells.values())
     assert not cls() and not cls({key: 0}) and len(cls({key: 0})) == 0
     assert g != cls({key: 1})
-    assert cls.from_json(g.to_json()) == g and g.to_json() == wire
+    assert g.to_json() == wire and json.loads(wire) == g.to_json_obj()
 
 
 def test_the_two_classes_never_compare_equal():
@@ -63,16 +62,17 @@ class Small(enum.IntEnum):
     (FiltrationTable, {(0, "1"): -1}, "cell index (0, '1') must be a pair of nonnegative ints"),
     (CohomologyProfile, {3: -1}, "dimension at degree 3 must be a nonnegative int"),
     (CohomologyProfile, {3: True}, "dimension at degree 3 must be a nonnegative int"),
-    (CohomologyProfile, {"3": "2"}, "dimension at degree 3 must be a nonnegative int"),
-    # A degree is an int that is no bool, or the str to_json_obj writes.
-    (CohomologyProfile, {2.5: 1}, "degree 2.5 must be an int or its decimal str"),
-    (CohomologyProfile, {2.0: 3}, "degree 2.0 must be an int or its decimal str"),
-    (CohomologyProfile, {True: 1}, "degree True must be an int or its decimal str"),
-    (CohomologyProfile, {"2_0": 1}, "degree '2_0' must be an int or its decimal str"),
-    (CohomologyProfile, {" 3": 1}, "degree ' 3' must be an int or its decimal str"),
-    (CohomologyProfile, {"03": 1}, "degree '03' must be an int or its decimal str"),
-    (CohomologyProfile, {"-0": 1}, "degree '-0' must be an int or its decimal str"),
-    (CohomologyProfile, {2: 1, "2": 3}, "key '2' repeats the key 2"),
+    (CohomologyProfile, {3: "2"}, "dimension at degree 3 must be a nonnegative int"),
+    # A degree is an int that is no bool; a str is refused, even the one
+    # to_json_obj writes for a degree.
+    (CohomologyProfile, {2.5: 1}, "degree 2.5 must be an int"),
+    (CohomologyProfile, {2.0: 3}, "degree 2.0 must be an int"),
+    (CohomologyProfile, {True: 1}, "degree True must be an int"),
+    (CohomologyProfile, {"2_0": 1}, "degree '2_0' must be an int"),
+    (CohomologyProfile, {" 3": 1}, "degree ' 3' must be an int"),
+    (CohomologyProfile, {"03": 1}, "degree '03' must be an int"),
+    (CohomologyProfile, {"-0": 1}, "degree '-0' must be an int"),
+    (CohomologyProfile, {2: 1, "2": 3}, "degree '2' must be an int"),
     (FiltrationTable, {(True, 0): 1}, "cell index (True, 0) must be a pair of nonnegative ints"),
     (FiltrationTable, {(0, False): 1}, "cell index (0, False) must be a pair of nonnegative ints"),
     # An exponent key is an exact int, or a pair of them, never rounded
@@ -92,78 +92,26 @@ class Small(enum.IntEnum):
     (FiltrationTable, {(Small.ONE, 0): 1},
      "cell index (<Small.ONE: 1>, 0) must be a pair of nonnegative ints"),
     (FiltrationTable, {(1, 2): Small.ONE}, "value at (1, 2) must be a nonnegative int"),
-    (CohomologyProfile, {Small.ONE: 1}, "degree <Small.ONE: 1> must be an int or its decimal str"),
+    (CohomologyProfile, {Small.ONE: 1}, "degree <Small.ONE: 1> must be an int"),
     # A cell index is a pair, as a BiLaurentPoly key is, before its sign is read.
     (FiltrationTable, {2: 1}, "cell index 2 must be a pair of nonnegative ints"),
     (FiltrationTable, {(0, 0, 0): 1}, "cell index (0, 0, 0) must be a pair of nonnegative ints"),
-    # A str coefficient is read only in the canonical decimal form of an int.
-    (LaurentPoly, {0: "1/2"}, "coefficient '1/2' must be an int or its decimal str"),
-    (LaurentPoly, {0: "-0"}, "coefficient '-0' must be an int or its decimal str"),
-    (LaurentPoly, {0: "+1"}, "coefficient '+1' must be an int or its decimal str"),
-    (BiLaurentPoly, {(0, 0): "3/1"}, "coefficient '3/1' must be an int or its decimal str"),
-    (BiLaurentPoly, {(0, 0): "07"}, "coefficient '07' must be an int or its decimal str"),
-    (BiLaurentPoly, {(0, 0): "1.5"}, "coefficient '1.5' must be an int or its decimal str"),
+    # A coefficient that is not an int, a str among them, raises TypeError.
+    (LaurentPoly, {0: "1/2"}, "coefficient '1/2' must be an int"),
+    (LaurentPoly, {0: "-0"}, "coefficient '-0' must be an int"),
+    (LaurentPoly, {0: "+1"}, "coefficient '+1' must be an int"),
+    (BiLaurentPoly, {(0, 0): "3/1"}, "coefficient '3/1' must be an int"),
+    (BiLaurentPoly, {(0, 0): "07"}, "coefficient '07' must be an int"),
+    (BiLaurentPoly, {(0, 0): "1.5"}, "coefficient '1.5' must be an int"),
+    # Even the decimal str the JSON form writes: no constructor reads one.
+    (LaurentPoly, {0: "3"}, "coefficient '3' must be an int"),
+    (BiLaurentPoly, {(0, 0): "-1"}, "coefficient '-1' must be an int"),
+    # The key is checked before the value.
+    (CohomologyProfile, {"3": "2"}, "degree '3' must be an int"),
 ])
 def test_validation_messages(cls, cells, message):
-    with pytest.raises(ValueError) as info:
+    error = TypeError if message.startswith("coefficient") else ValueError
+    with pytest.raises(error) as info:
         cls(cells)
     assert str(info.value) == message
 
-
-@pytest.mark.parametrize("cls, text, error", [
-    (FiltrationTable, "[[1,1.5,2.7]]", ValueError),
-    (FiltrationTable, "[[1,1,2.7]]", ValueError),
-    (FiltrationTable, '[[1,1,"2"]]', ValueError),
-    (CohomologyProfile, '{"2":3.9}', ValueError),
-    (CohomologyProfile, '{"2":"3"}', ValueError),
-    (FiltrationTable, "[[true,0,1]]", ValueError),
-    (FiltrationTable, "[[0,false,1]]", ValueError),
-    (CohomologyProfile, '{"2_0":1}', ValueError),
-    (CohomologyProfile, '{" 3":1}', ValueError),
-    (CohomologyProfile, '{"2.5":1}', ValueError),
-    (CohomologyProfile, '{"+2":1}', ValueError),
-    (LaurentPoly, "[[0,0.5]]", TypeError),
-    (BiLaurentPoly, "[[0,0,0.5]]", TypeError),
-    (LaurentPoly, "[[0,true]]", TypeError),
-    (BiLaurentPoly, "[[0,0,false]]", TypeError),
-    (LaurentPoly, "[[2.5,1]]", ValueError),
-    (LaurentPoly, "[[true,1]]", ValueError),
-    (LaurentPoly, '[["2",1]]', ValueError),
-    (BiLaurentPoly, "[[0.5,0,1]]", ValueError),
-    (BiLaurentPoly, "[[0,true,1]]", ValueError),
-    (BiLaurentPoly, '[[0,"2",1]]', ValueError),
-    # The wire holds twice each exponent: a key must be an even int, and a
-    # float, bool or str is refused even where its value would be even.
-    (LaurentPoly, '[[1,"1"]]', ValueError),
-    (LaurentPoly, '[[-3,"1"]]', ValueError),
-    (LaurentPoly, '[[2.0,"1"]]', ValueError),
-    (LaurentPoly, '[[false,"1"]]', ValueError),
-    (BiLaurentPoly, '[[2,1,"1"]]', ValueError),
-    (BiLaurentPoly, '[[1,2,"1"]]', ValueError),
-    (BiLaurentPoly, '[[true,0,"1"]]', ValueError),
-    (BiLaurentPoly, '[[2.0,0,"1"]]', ValueError),
-    (BiLaurentPoly, '[["0",0,"1"]]', ValueError),
-    # A coefficient is written as the decimal str of an int, nothing else.
-    (LaurentPoly, '[[0,"1/2"]]', ValueError),
-    (LaurentPoly, '[[0,"-0"]]', ValueError),
-    (BiLaurentPoly, '[[0,0,"3/1"]]', ValueError),
-    (BiLaurentPoly, '[[0,0,"1.0"]]', ValueError),
-])
-def test_json_readers_reject_what_the_constructors_reject(cls, text, error):
-    with pytest.raises(error):
-        cls.from_json(text)
-
-
-@pytest.mark.parametrize("cls, text, key", [
-    (LaurentPoly, '[[2,"1"],[2,"-1"]]', 1),
-    (LaurentPoly, '[[-2,"1"],[0,"5"],[-2,"1"]]', -1),
-    (BiLaurentPoly, '[[2,0,"1"],[2,0,"-1"]]', (1, 0)),
-    (FiltrationTable, "[[0,0,1],[0,0,2]]", (0, 0)),
-    (FiltrationTable, "[[0,0,0],[0,0,2]]", (0, 0)),
-    # The object form is refused as the list form is.
-    (CohomologyProfile, '{"2":1,"2":3}', "2"),
-])
-def test_a_list_form_reader_refuses_a_repeated_key(cls, text, key):
-    # A dict would keep the last entry; the reader names the key instead.
-    with pytest.raises(ValueError, match=f"^the list repeats the key {re.escape(repr(key))}$"):
-        cls.from_json(text)

@@ -1,5 +1,6 @@
 import doctest
 import enum
+import json
 import math
 import re
 from fractions import Fraction
@@ -42,15 +43,15 @@ def test_basic_arithmetic():
 
 
 def test_float_coefficients_rejected():
-    with pytest.raises(TypeError, match="^coefficient 0.5 must be an int or its decimal str$"):
+    with pytest.raises(TypeError, match="^coefficient 0.5 must be an int$"):
         LaurentPoly({0: 0.5})
-    with pytest.raises(TypeError, match="^coefficient True must be an int or its decimal str$"):
+    with pytest.raises(TypeError, match="^coefficient True must be an int$"):
         LaurentPoly({0: True})
     with pytest.raises(TypeError):
         LaurentPoly.one() * True
     # A Fraction, even an integral one, is refused like a float.
     for value in (Fraction(1, 2), Fraction(3)):
-        with pytest.raises(TypeError, match=" must be an int or its decimal str$"):
+        with pytest.raises(TypeError, match=" must be an int$"):
             BiLaurentPoly({(0, 0): value})
         with pytest.raises(TypeError):
             LaurentPoly.one() * value
@@ -172,7 +173,10 @@ def test_division_rejects_inexact():
 
 @given(polys)
 def test_json_round_trip(p):
-    assert LaurentPoly.from_json(p.to_json()) == p
+    wire = json.loads(p.to_json())
+    assert wire == p.to_json_obj()
+    # The wire loses nothing: halving each key and reading each str gives p.
+    assert LaurentPoly({t // 2: int(c) for t, c in wire}) == p
 
 
 def test_json_wire_shape():
@@ -194,9 +198,9 @@ def test_bivariate_swap_distributes_over_product(a, b):
 
 
 SHARED_CORE_CASES = [
-    (LaurentPoly, {4: 3, 0: "-2"},
+    (LaurentPoly, {4: 3, 0: -2},
      "LaurentPoly({0: -2, 4: 3})"),
-    (BiLaurentPoly, {(2, 0): 3, (0, 0): "-2"},
+    (BiLaurentPoly, {(2, 0): 3, (0, 0): -2},
      "BiLaurentPoly({(0, 0): -2, (2, 0): 3})"),
 ]
 
@@ -218,7 +222,7 @@ def test_shared_core(cls, coeffs, expected_repr):
     assert type(-p) is cls and type(1 - p) is cls and type(p ** 2) is cls
     assert repr(p) == expected_repr
     assert repr(cls.zero()) == f"{cls.__name__}({{}})"
-    assert cls.from_json(p.to_json()) == p
+    assert json.loads(p.to_json()) == p.to_json_obj()
 
 
 def test_polynomials_in_different_variables_never_compare_equal():
@@ -260,7 +264,9 @@ def test_pow_squares_the_base_only_while_bits_remain(monkeypatch):
 
 @given(bipolys)
 def test_bivariate_json_round_trip(p):
-    assert BiLaurentPoly.from_json(p.to_json()) == p
+    wire = json.loads(p.to_json())
+    assert wire == p.to_json_obj()
+    assert BiLaurentPoly({(a // 2, b // 2): int(c) for a, b, c in wire}) == p
 
 
 def test_bivariate_arithmetic():
@@ -271,15 +277,6 @@ def test_bivariate_arithmetic():
     assert (u * v).diagonal() == LaurentPoly({2: 1})
 
 
-# Coefficients as callers write them: ints, and the decimal strs the JSON
-# form writes for them.
-exact_values = st.one_of(coeffs, coeffs.map(str))
-mixed_polys = st.dictionaries(st.integers(-8, 8), exact_values, max_size=5).map(LaurentPoly)
-mixed_bipolys = st.dictionaries(
-    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), exact_values, max_size=4
-).map(BiLaurentPoly)
-
-
 def _assert_exact(*polys):
     """Every stored coefficient is an exact int."""
     for p in polys:
@@ -287,11 +284,10 @@ def _assert_exact(*polys):
             assert type(c) is int, repr(c)
 
 
-@given(mixed_polys, mixed_polys, st.integers(0, 3), st.booleans())
+@given(polys, polys, st.integers(0, 3), st.booleans())
 @settings(deadline=None)
 def test_coefficients_stay_exact(a, b, n, flag):
-    _assert_exact(a, a + b, a - b, a * b, a ** n, 3 * a, a + 1,
-                  LaurentPoly.from_json(a.to_json()))
+    _assert_exact(a, a + b, a - b, a * b, a ** n, 3 * a, a + 1, LaurentPoly(dict(a.terms())))
     if b:
         _assert_exact((a * b).divide_exact(b), (a * b * 2).divide_exact(2 * b))
     with pytest.raises(TypeError):
@@ -300,26 +296,15 @@ def test_coefficients_stay_exact(a, b, n, flag):
         LaurentPoly.one() * flag
 
 
-@given(mixed_bipolys, mixed_bipolys, st.integers(0, 3), st.booleans())
+@given(bipolys, bipolys, st.integers(0, 3), st.booleans())
 @settings(deadline=None)
 def test_bivariate_coefficients_stay_exact(a, b, n, flag):
     _assert_exact(a, a + b, a - b, a * b, a ** n, (a * b).diagonal(), a.swap(),
-                  BiLaurentPoly.from_json(a.to_json()))
+                  BiLaurentPoly(dict(a.terms())))
     with pytest.raises(TypeError):
         BiLaurentPoly({(0, 0): flag})
     with pytest.raises(TypeError):
         BiLaurentPoly.one() * flag
-
-
-@given(st.dictionaries(st.integers(-8, 8), st.integers(-5, 5), max_size=5),
-       st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-                       st.integers(-5, 5), max_size=4))
-def test_decimal_strs_build_the_same_poly(uni, bi):
-    for cls, values in ((LaurentPoly, uni), (BiLaurentPoly, bi)):
-        from_ints = cls(values)
-        from_strs = cls({k: str(v) for k, v in values.items()})
-        assert from_ints == from_strs and hash(from_ints) == hash(from_strs)
-        assert repr(from_ints) == repr(from_strs)
 
 
 def _refuse(*args):
@@ -329,9 +314,9 @@ def _refuse(*args):
 def test_arithmetic_results_are_never_checked_again(monkeypatch):
     # Every result is built from keys and coefficients already checked,
     # through the trusted constructor, so neither rule runs on it.
-    a = LaurentPoly({2: 3, 0: "6", -1: -3})
+    a = LaurentPoly({2: 3, 0: 6, -1: -3})
     b = LaurentPoly({1: 2, 0: -1})
-    u = BiLaurentPoly({(1, 0): 6, (0, 1): "-3", (0, 0): 9})
+    u = BiLaurentPoly({(1, 0): 6, (0, 1): -3, (0, 0): 9})
     v = BiLaurentPoly({(1, 1): 1, (0, 0): 3})
 
     def results():

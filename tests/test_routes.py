@@ -5,7 +5,9 @@ raises.  The route must still return what it returns unpatched, so a
 change that lets one route reuse the other's value fails here.  A
 profile hook then records every function a route enters, by its code
 object, so a call through a binding the swap cannot reach, such as a
-captured default argument, fails too.
+captured default argument, fails too.  Code objects are named from the
+package's functions (``package_code``), since Python 3.10 has no
+``co_qualname``.
 """
 
 import sys
@@ -18,6 +20,8 @@ import pwcheck.hookchar as hookchar
 from pwcheck.cli import main
 from pwcheck.epoly import ModuliParams
 from pwcheck.laurent import LaurentPoly, _SparsePoly
+
+from package_code import FILES, code_names
 
 POINTS = [(2, 2), (3, 2), (5, 3), (7, 2)]
 
@@ -54,15 +58,16 @@ def test_route_never_calls_the_other_route(monkeypatch, route, others, n, g):
     assert route(params) == expected
 
 
+NAMES = code_names()
+
+
 def _entered(route, params):
     """The names, as module.qualname, of the pwcheck functions route(params) enters."""
-    modules = {module.__file__: name for name, module in sys.modules.items()
-               if name.startswith("pwcheck")}
     entered = set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename in modules:
-            entered.add(f"{modules[frame.f_code.co_filename]}.{frame.f_code.co_qualname}")
+        if event == "call" and frame.f_code.co_filename in FILES:
+            entered.add(NAMES[frame.f_code])
 
     previous = sys.getprofile()
     sys.setprofile(profile)

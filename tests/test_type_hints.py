@@ -7,34 +7,11 @@ raises ``NameError``.  An annotation names a builtin, such as ``int``
 for a coefficient, or a name its module imports.
 """
 
-import importlib
-import inspect
-import pkgutil
 import typing
 
 import pytest
 
-import pwcheck
-
-MODULES = [importlib.import_module(f"pwcheck.{info.name}")
-           for info in pkgutil.iter_modules(pwcheck.__path__)]
-
-
-def _functions(module):
-    """(qualified name, function) for every function, method, static
-    method and class method defined in module."""
-    for name, value in vars(module).items():
-        if getattr(value, "__module__", None) != module.__name__:
-            continue
-        if inspect.isfunction(value):
-            yield name, value
-        elif inspect.isclass(value):
-            for attr, member in vars(value).items():
-                member = getattr(member, "__func__", member)
-                if inspect.isfunction(member):
-                    yield f"{name}.{attr}", member
-                elif isinstance(member, property):
-                    yield f"{name}.{attr}", member.fget
+from package_code import MODULES, functions
 
 
 def test_every_module_is_scanned():
@@ -46,7 +23,7 @@ def test_every_module_is_scanned():
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_every_annotation_resolves(module):
     failures = {}
-    for qualname, function in _functions(module):
+    for qualname, function in functions(module):
         try:
             typing.get_type_hints(function)
         except Exception as exc:  # report every failure, not just the first
