@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 from ._frozen import DomainError, VerificationError, compact_json
 from .epoly import (
-    ModuliParams, closed_e, euler_variant, mirror_difference, variant_betti)
+    CohomologyProfile, ModuliParams, closed_e, euler_variant, mirror_difference, variant_betti)
 from .filtration import DEFAULT_BUDGET, Criterion, certify_criterion, count_search_tables
 from .hitchin import verify_pw
 from .hookchar import evar_type_route
@@ -90,71 +90,77 @@ def _compare(detail: str, left_name: str, a: LaurentPoly,
                    f"{left_name} = {a.get(e, 0)}, {right_name} = {b.get(e, 0)}")
 
 
-def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
+def _palindromic(params: ModuliParams, e: LaurentPoly) -> tuple[bool, str]:
+    weight = params.dim + 2 * params.type_shift
+    return _compare(f"weight {weight}", "E", e, f"q^{weight}*E(1/q)", e.reverse(weight))
 
-    def run(name: str, fn) -> None:
+
+def _euler(params: ModuliParams, value: int, profile: CohomologyProfile) -> tuple[bool, str]:
+    chi = profile.euler()
+    return chi == value, f"chi {value}" + ("" if chi == value else f"; the Betti numbers give {chi}")
+
+
+def _support(params: ModuliParams, profile: CohomologyProfile) -> tuple[bool, str]:
+    low, high = profile.support()
+    floor = 2 * params.curious_shift + 1
+    top = params.dim - 1
+    # variant_bracket runs from q^1 to q^((n-1)(2g-2)-1), so the support is [floor, top].
+    detail = f"[{low},{high}] within [{floor},{top}]"
+    for end, value, bound in (("low", low, floor), ("high", high, top)):
+        if value != bound:
+            detail += f"; {end} end {value} {'<' if value < bound else '>'} {bound}"
+    return low == floor and high == top, detail
+
+
+def _curious(params: ModuliParams, profile: CohomologyProfile) -> tuple[bool, str]:
+    center = params.half_dim + params.curious_shift
+    low, high = profile.support()
+    detail = f"center {center}"
+    for i in range(1, max(center - low, high - center) + 1):
+        below, above = profile[center - i], profile[center + i]
+        if below != above:
+            return False, (f"{detail}; first difference at offset {i}: "
+                           f"H^{center - i} = {below}, H^{center + i} = {above}")
+    return True, detail
+
+
+# verify's checks in output order: name -> (the routes it reads, a comparison
+# of params and those routes' values that gives (passed, detail)).
+_CHECKS = {
+    "palindromic": (("closed",), _palindromic),
+    "mirror-diagonal": (("mirror", "closed"), lambda params, mirror, e: _compare(
+        "u=v=q", "mirror diagonal", mirror.diagonal(), "closed_e", e)),
+    "evar-shift": (("type", "closed"), lambda params, type_route, e: _compare(
+        f"shift q^{params.type_shift}", "shifted type route",
+        type_route * LaurentPoly({params.type_shift: 1}), "closed_e", e)),
+    "euler": (("euler", "betti"), _euler),
+    "support-bound": (("betti",), _support),
+    "curious-symmetry": (("betti",), _curious),
+    "pw": (("pw",), lambda params, report: (report.holds, report.verdict)),
+}
+
+
+def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
+    # Each route is built once per call; one that raises fails the checks that read it.
+    routes: dict[str, object] = {}
+    for route, build in (("closed", closed_e), ("mirror", mirror_difference),
+                         ("type", evar_type_route), ("euler", euler_variant),
+                         ("betti", variant_betti), ("pw", verify_pw)):
         try:
-            ok, detail = fn()
+            routes[route] = build(params)
+        except Exception as exc:
+            routes[route] = exc
+    checks: list[tuple[str, bool, str]] = []
+    for name, (reads, compare) in _CHECKS.items():
+        values = [routes[route] for route in reads]
+        try:
+            for value in values:
+                if isinstance(value, Exception):
+                    raise value
+            ok, detail = compare(params, *values)
         except Exception as exc:  # keep going; report the check as failed
             ok, detail = False, f"error: {type(exc).__name__}: {exc}"
         checks.append((name, ok, detail))
-
-    def palindromic():
-        weight = params.dim + 2 * params.type_shift
-        e = closed_e(params)
-        return _compare(f"weight {weight}", "E", e, f"q^{weight}*E(1/q)", e.reverse(weight))
-
-    def mirror_diag():
-        return _compare("u=v=q", "mirror diagonal", mirror_difference(params).diagonal(),
-                        "closed_e", closed_e(params))
-
-    def evar_shift():
-        shift = params.type_shift
-        lhs = evar_type_route(params) * LaurentPoly({shift: 1})
-        return _compare(f"shift q^{shift}", "shifted type route", lhs, "closed_e",
-                        closed_e(params))
-
-    def euler():
-        value, chi = euler_variant(params), variant_betti(params).euler()
-        if chi == value:
-            return True, f"chi {value}"
-        return False, f"chi {value}; the Betti numbers give {chi}"
-
-    def support():
-        low, high = variant_betti(params).support()
-        floor = 2 * params.curious_shift + 1
-        top = params.dim - 1
-        # variant_bracket runs from q^1 to q^((n-1)(2g-2)-1), so the support is [floor, top].
-        detail = f"[{low},{high}] within [{floor},{top}]"
-        for end, value, bound in (("low", low, floor), ("high", high, top)):
-            if value != bound:
-                detail += f"; {end} end {value} {'<' if value < bound else '>'} {bound}"
-        return low == floor and high == top, detail
-
-    def curious():
-        profile = variant_betti(params)
-        center = params.half_dim + params.curious_shift
-        low, high = profile.support()
-        detail = f"center {center}"
-        for i in range(1, max(center - low, high - center) + 1):
-            below, above = profile[center - i], profile[center + i]
-            if below != above:
-                return False, (f"{detail}; first difference at offset {i}: "
-                               f"H^{center - i} = {below}, H^{center + i} = {above}")
-        return True, detail
-
-    def pw():
-        report = verify_pw(params)
-        return report.holds, report.verdict
-
-    run("palindromic", palindromic)
-    run("mirror-diagonal", mirror_diag)
-    run("evar-shift", evar_shift)
-    run("euler", euler)
-    run("support-bound", support)
-    run("curious-symmetry", curious)
-    run("pw", pw)
     return checks
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import gc
 import hashlib
@@ -201,6 +202,50 @@ def test_verify_json(capsys):
     assert [c["name"] for c in obj["checks"]] == [
         "palindromic", "mirror-diagonal", "evar-shift", "euler",
         "support-bound", "curious-symmetry", "pw"]
+
+
+# Each route binding verify calls in cli, and the _CHECKS name of its route.
+ROUTE_BINDINGS = {"closed_e": "closed", "mirror_difference": "mirror",
+                  "evar_type_route": "type", "euler_variant": "euler",
+                  "variant_betti": "betti", "verify_pw": "pw"}
+
+
+def test_no_check_reads_a_route_twice():
+    for name, (reads, _) in cli._CHECKS.items():
+        assert len(set(reads)) == len(reads), name
+    assert {route for reads, _ in cli._CHECKS.values() for route in reads} == set(
+        ROUTE_BINDINGS.values())
+
+
+@pytest.mark.parametrize("binding", ROUTE_BINDINGS)
+def test_a_raising_route_fails_exactly_the_checks_that_read_it(capsys, monkeypatch, binding):
+    def boom(params):
+        raise RuntimeError(binding)
+
+    monkeypatch.setattr(cli, binding, boom)
+    code, out, _ = run(capsys, "verify", "--n", "3", "--g", "2")
+    readers = [name for name, (reads, _) in cli._CHECKS.items()
+               if ROUTE_BINDINGS[binding] in reads]
+    assert code == 1 and readers
+    # A passing line is cut to its verdict and name, a failing one kept whole.
+    assert [line if line.startswith("FAIL") else line.split(" (")[0]
+            for line in out.splitlines()] == [
+        f"FAIL {name} (error: RuntimeError: {binding})" if name in readers
+        else f"PASS {name}" for name in cli._CHECKS] + [
+        f"{len(readers)} check(s) failed: {', '.join(readers)}"]
+
+
+@pytest.mark.parametrize("n, g", [(5, 2), (13, 4)])
+def test_verify_builds_each_route_once(capsys, monkeypatch, n, g):
+    calls = collections.Counter()
+    for binding in ROUTE_BINDINGS:
+        def counted(params, binding=binding, build=getattr(cli, binding)):
+            calls[binding] += 1
+            return build(params)
+
+        monkeypatch.setattr(cli, binding, counted)
+    assert run(capsys, "verify", "--n", str(n), "--g", str(g))[0] == 0
+    assert calls == dict.fromkeys(ROUTE_BINDINGS, 1)
 
 
 json_values = st.recursive(

@@ -6,6 +6,8 @@ import runpy
 
 import pytest
 
+import pwcheck.cli as cli
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # Lines a demo must print, where it states a check's outcome.
@@ -33,3 +35,14 @@ def test_readme_session():
         str(ROOT / "README.md"), module_relative=False)
     assert tried == 5
     assert failures == 0
+
+
+def test_readme_check_table_is_the_verify_table():
+    """README's table of verify's checks and their routes is cli._CHECKS."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = text.split("| check | routes it reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    table = []
+    for row in rows.splitlines():
+        _, check, routes, _ = row.split("|")
+        table.append((check.strip(" `"), tuple(route.strip(" `") for route in routes.split(","))))
+    assert table == [(name, reads) for name, (reads, _) in cli._CHECKS.items()]

@@ -18,9 +18,9 @@ from package_code import code_names
 
 # The most calls of each function in one verify, as counted at both points.
 ROUTES = {
-    "pwcheck.epoly.closed_e": 8,
-    "pwcheck.epoly.variant_bracket": 8,
-    "pwcheck.epoly.variant_betti": 4,
+    "pwcheck.epoly.closed_e": 4,
+    "pwcheck.epoly.variant_bracket": 4,
+    "pwcheck.epoly.variant_betti": 2,
     "pwcheck.hookchar.evar_type_route": 2,
     "pwcheck.hookchar.type_contribution": 4,
     "pwcheck.epoly.mirror_difference": 1,
