@@ -10,9 +10,11 @@ A lambda in a module's table, and code nested in it, is named
 ``module.<name>``.
 """
 
+import collections
 import importlib
 import inspect
 import pkgutil
+import sys
 import types
 
 import pwcheck
@@ -65,3 +67,22 @@ def code_names():
             if function.__code__.co_filename == module.__file__:
                 _name(names, function.__code__, f"{function.__module__}.{function.__qualname__}")
     return names
+
+
+def traced(call, *args):
+    """(call(*args), a Counter of the code objects of the package's files
+    it enters, by calls), traced under sys.setprofile; the previous
+    profile hook is restored afterwards."""
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in FILES:
+            counts[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, counts

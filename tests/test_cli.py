@@ -194,6 +194,15 @@ def test_euler_failure_names_both_values(capsys, monkeypatch):
         1, "FAIL euler (chi -240; the Betti numbers give -239)")
 
 
+def test_euler_names_both_values_when_closed_e_is_bent(capsys, monkeypatch):
+    # euler_variant is the closed count, so a bent closed_e (q^18 reads 81,
+    # not 80) reaches the euler check only through the Betti numbers.
+    closed = epoly.closed_e
+    monkeypatch.setattr(epoly, "closed_e", lambda params: closed(params) + LaurentPoly({18: 1}))
+    assert _verify_line(capsys, "euler") == (
+        1, "FAIL euler (chi -240; the Betti numbers give -239)")
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "--g", "2", "--format", "json")
     assert code == 0
@@ -206,8 +215,7 @@ def test_verify_json(capsys):
 
 # Each route binding verify calls in cli, and the _CHECKS name of its route.
 ROUTE_BINDINGS = {"closed_e": "closed", "mirror_difference": "mirror",
-                  "evar_type_route": "type", "euler_variant": "euler",
-                  "variant_betti": "betti", "verify_pw": "pw"}
+                  "evar_type_route": "type", "variant_betti": "betti", "verify_pw": "pw"}
 
 
 def test_no_check_reads_a_route_twice():

@@ -21,7 +21,7 @@ from pwcheck.cli import main
 from pwcheck.epoly import ModuliParams
 from pwcheck.laurent import LaurentPoly, _SparsePoly
 
-from package_code import FILES, code_names
+from package_code import code_names, traced
 
 POINTS = [(2, 2), (3, 2), (5, 3), (7, 2)]
 
@@ -63,19 +63,7 @@ NAMES = code_names()
 
 def _entered(route, params):
     """The names, as module.qualname, of the pwcheck functions route(params) enters."""
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename in FILES:
-            entered.add(NAMES[frame.f_code])
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        route(params)
-    finally:
-        sys.setprofile(previous)
-    return entered
+    return {NAMES[code] for code in traced(route, params)[1]}
 
 
 CLOSED = {"pwcheck.epoly.closed_e", "pwcheck.epoly.variant_bracket"}
@@ -88,6 +76,7 @@ def test_each_route_enters_none_of_the_other_route(n, g):
     assert not {name for name in perverse if name.startswith("pwcheck.hookchar.")}
     assert not _entered(epoly.mirror_difference, params) & CLOSED
     assert not _entered(hookchar.evar_type_route, params) & CLOSED
+    assert not _entered(epoly.euler_variant, params) & CLOSED
     weight = _entered(hitchin.weight_table, params)
     assert not weight & (CLOSED | {"pwcheck.epoly.variant_betti"})
     assert "pwcheck.hookchar.evar_type_route" in weight

@@ -14,12 +14,12 @@ import pytest
 
 from pwcheck.cli import main
 
-from package_code import code_names
+from package_code import code_names, traced
 
 # The most calls of each function in one verify, as counted at both points.
 ROUTES = {
-    "pwcheck.epoly.closed_e": 4,
-    "pwcheck.epoly.variant_bracket": 4,
+    "pwcheck.epoly.closed_e": 3,
+    "pwcheck.epoly.variant_bracket": 3,
     "pwcheck.epoly.variant_betti": 2,
     "pwcheck.hookchar.evar_type_route": 2,
     "pwcheck.hookchar.type_contribution": 4,
@@ -33,18 +33,10 @@ MUL = "pwcheck.laurent.LaurentPoly.__mul__"
 def _calls(argv):
     """main(argv)'s exit status and its calls of each pwcheck function."""
     names = code_names()
+    status, codes = traced(main, argv)
     counts = collections.Counter()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in names:
-            counts[names[frame.f_code]] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        status = main(argv)
-    finally:
-        sys.setprofile(previous)
+    for code, calls in codes.items():
+        counts[names[code]] += calls
     return status, counts
 
 
