@@ -6,10 +6,10 @@ certificate on the box (filtration.certify_criterion); it enumerates
 no tables.
 
 Exit codes: 0 all good, 1 a verification failed or a ksearch
-certificate failed, 2 usage or domain error or an unwritable --out, 3
-an internal error: any exception that is neither a DomainError nor a
-VerificationError is a bug, reported on stderr as
-"internal error: <Type>: <message>".
+certificate failed, 2 usage or domain error, an unwritable --out or a
+failed write of stdout, 3 an internal error: any exception that is
+neither a DomainError nor a VerificationError is a bug, reported on
+stderr as "internal error: <Type>: <message>".
 
 A plain command line (the verb, then exact long flags, each once, with
 values that do not start with "-") is read without importing argparse,
@@ -20,7 +20,9 @@ namespace.
 
 from __future__ import annotations
 
+import atexit
 import gc
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -343,11 +345,15 @@ def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
-def _write(path: str, mode: str, text: str) -> bool:
-    """Write text to the file at path; on an OSError say so on stderr and give False."""
+def _write(path: str | None, mode: str, text: str) -> bool:
+    """Write text to the file at path, or to stdout when path is None; on
+    an OSError say so on stderr and give False."""
     try:
-        with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, mode, encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return False
@@ -376,9 +382,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "json":
             output = compact_json(output)
         text = output if output.endswith("\n") else output + "\n"
-        if not args.out:
-            sys.stdout.write(text)
-            return code
         return code if _write(args.out, "w", text) else 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -391,5 +394,31 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def entry() -> None:
+    """The program entry (python -m pwcheck.cli and the pwcheck script):
+    main() from sys.argv, then the process ends with main's exit code, or
+    with 2 and an "error:" line when stdout cannot be flushed.  It never
+    returns.
+
+    The registered atexit callbacks run and stdout and stderr are
+    flushed, as at the interpreter's own exit, and then os._exit ends the
+    process without the rest of that exit, which clears and frees every
+    module loaded.  A SystemExit from main (argparse's help and usage
+    errors) leaves through the interpreter's exit as before.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

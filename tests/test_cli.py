@@ -1,5 +1,7 @@
+import ast
 import collections
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -670,10 +672,14 @@ def test_the_direct_parser_agrees_with_argparse(argv):
         assert vars(direct) == vars(expected)
 
 
-def _python(*args):
+def _python(*args, stdout=subprocess.PIPE, **environ):
+    """A child python run with args and the package on its path, in this
+    environment updated by environ, where a value None removes a variable."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=False)
+    env = {**os.environ, "PYTHONPATH": path, **environ}
+    env = {key: value for key, value in env.items() if value is not None}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, check=False)
 
 
 def _module_run(*argv):
@@ -730,3 +736,54 @@ def test_a_library_call_leaves_the_collector_alone(capsys):
     state = gc.get_freeze_count(), gc.isenabled()
     assert run(capsys, "verify", "--n", "5", "--g", "2")[0] == 0
     assert (gc.get_freeze_count(), gc.isenabled()) == state
+
+
+# The entry from sys.argv, in a child that first registers an atexit
+# callback writing to stdout.
+ATEXIT_PROGRAM = """
+import atexit, sys
+from pwcheck.cli import entry
+atexit.register(print, "bye")
+sys.argv = ["pwcheck", *sys.argv[1:]]
+entry()
+"""
+
+
+@pytest.mark.parametrize("argv", ["verify --n 5 --g 2", "pw --n 4 --g 2"])
+def test_the_entry_runs_the_atexit_callbacks_after_main(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    result = _python("-c", ATEXIT_PROGRAM, *argv.split())
+    assert (result.returncode, result.stdout) == (code, out.encode() + b"bye\n")
+
+
+# verify's few hundred bytes fit the stdout buffer, so buffered they fail
+# only when the entry flushes them; epoly's 52 KB outgrow it, so the write
+# in main fails, and leaves nothing buffered for the flush to fail on again.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", ["verify --n 5 --g 2", "epoly --n 31 --g 8"])
+def test_a_failed_write_of_stdout_exits_2_with_one_error_line(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        result = _python("-m", "pwcheck.cli", *argv.split(), stdout=full,
+                         PYTHONUNBUFFERED="1" if unbuffered else None)
+    message = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert (result.returncode, result.stderr) == (2, f"error: {message}\n".encode())
+
+
+def _main_block_call(path):
+    """The name of the one function the `if __name__ == "__main__":` block
+    of path calls by a bare name."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            [name] = {call.func.id for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+            return name
+    raise AssertionError(f"{path} has no __main__ block")
+
+
+def test_the_console_script_runs_what_python_m_runs():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    name = _main_block_call(SRC / "pwcheck" / "cli.py")
+    assert pyproject["project"]["scripts"]["pwcheck"] == f"pwcheck.cli:{name}"
+    assert callable(getattr(cli, name))

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+import pwcheck.cli as cli
 import pwcheck.epoly as epoly
 import pwcheck.hitchin as hitchin
 import pwcheck.hookchar as hookchar
@@ -66,16 +67,48 @@ def _entered(route, params):
     return {NAMES[code] for code in traced(route, params)[1]}
 
 
+# The builder of each route that verify's dual-route checks read.
+BUILDERS = {"closed": epoly.closed_e, "mirror": epoly.mirror_difference,
+            "type": hookchar.evar_type_route}
+DUAL_ROUTE_READS = [reads for reads, _ in cli._CHECKS.values() if len(reads) == 2]
+
+
+def _route_functions(builder, params):
+    """The functions of epoly and hookchar, the routes' modules, that
+    builder(params) enters, less the parameter record and the prime
+    guard, which every route reads; the kernel modules are shared by design."""
+    return {name for name in _entered(builder, params)
+            if name.startswith(("pwcheck.epoly.", "pwcheck.hookchar."))
+            and not name.startswith(("pwcheck.epoly.ModuliParams.", "pwcheck.epoly.require_"))}
+
+
+def test_every_dual_route_check_reads_two_built_routes():
+    assert DUAL_ROUTE_READS
+    assert {route for reads in DUAL_ROUTE_READS for route in reads} <= BUILDERS.keys()
+
+
+@pytest.mark.parametrize("n,g", POINTS)
+@pytest.mark.parametrize("reads", DUAL_ROUTE_READS, ids="-".join)
+def test_neither_route_of_a_dual_route_check_enters_the_other(reads, n, g):
+    params = ModuliParams(n, g)
+    left, right = (BUILDERS[route] for route in reads)
+    left_functions, right_functions = (_route_functions(builder, params)
+                                       for builder in (left, right))
+    assert f"{left.__module__}.{left.__qualname__}" in left_functions
+    assert f"{right.__module__}.{right.__qualname__}" in right_functions
+    assert not left_functions & right_functions
+
+
 CLOSED = {"pwcheck.epoly.closed_e", "pwcheck.epoly.variant_bracket"}
 
 
 @pytest.mark.parametrize("n,g", POINTS)
 def test_each_route_enters_none_of_the_other_route(n, g):
+    # The routes verify's table does not pair: the tables pw compares and
+    # the Euler count.
     params = ModuliParams(n, g)
     perverse = _entered(hitchin.perverse_table, params)
     assert not {name for name in perverse if name.startswith("pwcheck.hookchar.")}
-    assert not _entered(epoly.mirror_difference, params) & CLOSED
-    assert not _entered(hookchar.evar_type_route, params) & CLOSED
     assert not _entered(epoly.euler_variant, params) & CLOSED
     weight = _entered(hitchin.weight_table, params)
     assert not weight & (CLOSED | {"pwcheck.epoly.variant_betti"})
