@@ -165,22 +165,23 @@ class CohomologyProfile(_Graded):
         return {str(d): v for d, v in self.items()}
 
 
-def variant_betti(params: ModuliParams) -> CohomologyProfile:
-    """Variant Betti numbers extracted from the closed E-polynomial.
-
-    The group in degree deg contributes to q^(2*dim - deg) with sign
-    (-1)^deg, so the extraction inverts that.
-    """
-    e = closed_e(params)
+def signed_profile(e: LaurentPoly, top: int) -> CohomologyProfile:
+    """Betti numbers of an E-polynomial in which the group in degree deg
+    contributes to q^(top - deg) with sign (-1)^deg, so the extraction
+    inverts that.  A dimension that comes out nonpositive raises."""
     dims: dict[int, int] = {}
     for exponent, coeff in e.terms():
-        deg = 2 * params.dim - exponent
+        deg = top - exponent
         value = coeff if deg % 2 == 0 else -coeff
         if value <= 0:
-            raise InconsistentFormulaError(
-                f"degree {deg} would get dimension {value}")
+            raise InconsistentFormulaError(f"degree {deg} would get dimension {value}")
         dims[deg] = value
-    return CohomologyProfile(dims)
+    return CohomologyProfile._of(dims)
+
+
+def variant_betti(params: ModuliParams) -> CohomologyProfile:
+    """Variant Betti numbers read off the closed E-polynomial, whose top is 2*dim."""
+    return signed_profile(closed_e(params), 2 * params.dim)
 
 
 def euler_variant(params: ModuliParams) -> int:

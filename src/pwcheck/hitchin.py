@@ -5,17 +5,33 @@ filtration level and j = degree - i.  The perverse side is built from
 the variant Betti numbers of the closed E-polynomial; the weight side
 is read off the character-sum E-polynomial, with the jump of W_{2i}
 stored at level i.  Their literal equality is the P = W statement at
-the level of graded dimensions.  The routes are independent in code and
-kernel, not in mathematics: both read the bracket (q-1)^N - S^M, so they
+the level of graded dimensions.  Both tables and the Betti numbers share
+one extraction (epoly.signed_profile) and one column builder (_column),
+so a fault there bends both tables alike: support-bound, curious-symmetry
+or euler fails on a bent extraction, or it raises, and pw's criteria fail
+on a misplaced cell.  Both sides read the bracket (q-1)^N - S^M, so they
 catch a kernel fault or a slip in one side, not a bracket wrong in both.
 """
 
 from __future__ import annotations
 
 from ._frozen import _Record
-from .epoly import InconsistentFormulaError, ModuliParams, variant_betti
+from .epoly import (CohomologyProfile, InconsistentFormulaError, ModuliParams,
+                    signed_profile, variant_betti)
 from .filtration import FiltrationTable, check_first_criterion, check_second_criterion
 from .hookchar import evar_type_route
+
+
+def _column(profile: CohomologyProfile, c: int) -> FiltrationTable:
+    """Degree d of profile at cell (d - c, c), in the one column j = c
+    that both tables fill.  A degree at or below 2c raises: the support
+    starts at 2c + 1 (tests/test_epoly.py::test_the_support_lemma)."""
+    cells: dict[tuple[int, int], int] = {}
+    for d, v in profile.items():
+        if d <= 2 * c:
+            raise InconsistentFormulaError(f"degree {d} at or below twice the curious shift {c}")
+        cells[(d - c, c)] = v
+    return FiltrationTable._of(cells)
 
 
 def perverse_table(params: ModuliParams) -> FiltrationTable:
@@ -24,15 +40,7 @@ def perverse_table(params: ModuliParams) -> FiltrationTable:
     Degree d sits entirely in perverse level d - c with c the curious
     shift, so the whole table lives in the single column j = c.
     """
-    betti = variant_betti(params)
-    c = params.curious_shift
-    cells: dict[tuple[int, int], int] = {}
-    for d, v in betti.items():
-        if d <= c:
-            raise InconsistentFormulaError(
-                f"degree {d} at or below the curious shift {c}")
-        cells[(d - c, c)] = v
-    return FiltrationTable(cells)
+    return _column(variant_betti(params), params.curious_shift)
 
 
 def weight_table(params: ModuliParams) -> FiltrationTable:
@@ -43,18 +51,8 @@ def weight_table(params: ModuliParams) -> FiltrationTable:
     signed dimension of the weight-2(2m - e) piece, sitting in degree
     2m + c - e; the jump of W_{2i} is stored at level i = 2m - e.
     """
-    evar = evar_type_route(params)
-    m, c = params.half_dim, params.curious_shift
-    cells: dict[tuple[int, int], int] = {}
-    for e, coeff in evar.terms():
-        degree = 2 * m + c - e
-        value = coeff if degree % 2 == 0 else -coeff
-        level = 2 * m - e
-        if value <= 0 or level <= c:
-            raise InconsistentFormulaError(
-                f"exponent {e} gives level {level}, dimension {value}")
-        cells[(level, c)] = value
-    return FiltrationTable(cells)
+    c = params.curious_shift
+    return _column(signed_profile(evar_type_route(params), 2 * params.half_dim + c), c)
 
 
 class PWReport(_Record):

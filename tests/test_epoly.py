@@ -1,5 +1,6 @@
 import enum
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,43 @@ def test_the_bracket_top_digit_cancels(n, g):
     bracket = epoly.variant_bracket(n, g)
     assert bracket.degree_bounds() == (1, big_n - 1)
     assert dict(bracket.terms())[big_n - 1] == -n * big_m
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("n,g", [(n, g) for n in (2, 3, 5, 7, 11, 13) for g in range(2, 10)])
+def test_the_support_lemma(n, g):
+    # S = 1+q+...+q^(n-1) <= (1+q)^(n-1) coefficientwise, so s_k = [q^k]S^M
+    # <= C(N,k).  N is even, so (-1)^k times the bracket's q^k coefficient,
+    # C(N,k) - (-1)^k s_k, is the Betti number in degree dim - k up to the
+    # factor (n^(2g)-1)/n: never negative, zero only at k = 0, N (and even
+    # k when n = 2), so the support is [2c+1, dim-1], the guard hitchin's
+    # _column keeps.  On int lists, off the polynomial kernel.
+    big_n, big_m = (n - 1) * (2 * g - 2), 2 * g - 2
+    s = [1]
+    for _ in range(big_m):
+        s = _convolve(s, [1] * n)
+    binom = [math.comb(big_n, k) for k in range(big_n + 1)]
+    q_minus_1 = [(-1) ** (big_n - k) * b for k, b in enumerate(binom)]
+    assert len(s) == big_n + 1
+    assert s == s[::-1] and q_minus_1 == q_minus_1[::-1]
+    bracket = [c - s_k for c, s_k in zip(q_minus_1, s)]
+    assert dict(epoly.variant_bracket(n, g).terms()) == {k: c for k, c in enumerate(bracket) if c}
+    assert all(s_k <= b for s_k, b in zip(s, binom))
+    if n >= 3:
+        assert all(s_k < b for s_k, b in zip(s[1:-1], binom[1:-1]))
+    betti = [b - (-1) ** k * s_k for k, (b, s_k) in enumerate(zip(binom, s))]
+    assert min(betti) == 0
+    zeros = {k for k, b in enumerate(betti) if b == 0}
+    assert zeros == {0, big_n} | (set(range(0, big_n, 2)) if n == 2 else set())
+    params = ModuliParams(n, g)
+    assert variant_betti(params).support() == (2 * params.curious_shift + 1, params.dim - 1)
 
 
 @pytest.mark.parametrize("n,g", sorted(BETTI))

@@ -5,6 +5,7 @@ import pytest
 from pwcheck.epoly import CohomologyProfile, InconsistentFormulaError, ModuliParams
 from pwcheck.filtration import FiltrationTable, is_k_sequence
 from pwcheck.hitchin import perverse_table, verify_pw, weight_table
+from pwcheck.laurent import LaurentPoly
 
 GRID = [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4), (3, 3)]
 
@@ -73,7 +74,6 @@ def test_verify_pw_reports_a_lopsided_profile(monkeypatch):
 def test_verify_pw_reports_a_weight_side_disagreement(monkeypatch, capsys):
     import pwcheck.hitchin as hitchin
     from pwcheck.cli import main
-    from pwcheck.laurent import LaurentPoly
 
     # the character sum disagrees with the closed formula at (2,2): the
     # tables differ, and the verdict says so instead of raising
@@ -88,13 +88,25 @@ def test_verify_pw_reports_a_weight_side_disagreement(monkeypatch, capsys):
     assert out.startswith("P=W FAILS for n=2 g=2 d=1\n  tables equal: False\n")
 
 
-def test_perverse_table_rejects_low_degrees(monkeypatch):
+# At (2,2), c = 2 and the weight side's top is 2m + c = 8: one extraction
+# and one guard, degree <= 2c, serve both tables.
+LOW = [
+    pytest.param("variant_betti", CohomologyProfile({1: 4}), "degree 1 ", id="perverse-below-c"),
+    pytest.param("variant_betti", CohomologyProfile({4: 4}), "degree 4 ", id="perverse-at-2c"),
+    pytest.param("evar_type_route", LaurentPoly({3: 30}), "degree 5 would get dimension -30",
+                 id="weight-nonpositive"),
+    pytest.param("evar_type_route", LaurentPoly({4: 1}), "degree 4 ", id="weight-at-2c"),
+]
+
+
+@pytest.mark.parametrize("route,fake,message", LOW)
+def test_tables_reject_a_degree_they_cannot_place(monkeypatch, route, fake, message):
     import pwcheck.hitchin as hitchin
 
-    fake = CohomologyProfile({1: 4})    # at or below the shift c = 2
-    monkeypatch.setattr(hitchin, "variant_betti", lambda params: fake)
-    with pytest.raises(InconsistentFormulaError):
-        hitchin.perverse_table(ModuliParams(2, 2))
+    monkeypatch.setattr(hitchin, route, lambda params: fake)
+    table = hitchin.perverse_table if route == "variant_betti" else hitchin.weight_table
+    with pytest.raises(InconsistentFormulaError, match=message):
+        table(ModuliParams(2, 2))
 
 
 @pytest.mark.parametrize("n,g", GRID)

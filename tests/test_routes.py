@@ -114,6 +114,9 @@ def test_each_route_enters_none_of_the_other_route(n, g):
     assert not weight & (CLOSED | {"pwcheck.epoly.variant_betti"})
     assert "pwcheck.hookchar.evar_type_route" in weight
     assert "pwcheck.epoly.closed_e" in perverse
+    # What the tables share: one extraction and one column builder.
+    shared = {"pwcheck.epoly.signed_profile", "pwcheck.hitchin._column"}
+    assert shared <= perverse and shared <= weight
 
 
 def test_weight_route_does_not_bind_the_cross_check():

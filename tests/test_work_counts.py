@@ -21,6 +21,8 @@ ROUTES = {
     "pwcheck.epoly.closed_e": 3,
     "pwcheck.epoly.variant_bracket": 3,
     "pwcheck.epoly.variant_betti": 2,
+    "pwcheck.epoly.signed_profile": 3,
+    "pwcheck.hitchin._column": 2,
     "pwcheck.hookchar.evar_type_route": 2,
     "pwcheck.hookchar.type_contribution": 4,
     "pwcheck.epoly.mirror_difference": 1,
