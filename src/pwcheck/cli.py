@@ -102,7 +102,7 @@ def _euler(params: ModuliParams, profile: CohomologyProfile) -> tuple[bool, str]
     return chi == value, f"chi {value}" + ("" if chi == value else f"; the Betti numbers give {chi}")
 
 
-def _support(params: ModuliParams, profile: CohomologyProfile) -> tuple[bool, str]:
+def _support_bound(params: ModuliParams, profile: CohomologyProfile) -> tuple[bool, str]:
     low, high = profile.support()
     floor = 2 * params.curious_shift + 1
     top = params.dim - 1
@@ -136,7 +136,7 @@ _CHECKS = {
         f"shift q^{params.type_shift}", "shifted type route",
         type_route * LaurentPoly({params.type_shift: 1}), "closed_e", e)),
     "euler": (("betti",), _euler),
-    "support-bound": (("betti",), _support),
+    "support-bound": (("betti",), _support_bound),
     "curious-symmetry": (("betti",), _curious),
     "pw": (("pw",), lambda params, report: (report.holds, report.verdict)),
 }
@@ -200,7 +200,7 @@ def cmd_ksearch(args: SimpleNamespace) -> tuple[int, object]:
     tables = count_search_tables(args.i_max, args.j_max, args.v_max,
                                  m_range, k_range, budget=args.budget)
     if args.verbose:
-        print(f"scanning {tables} tables per criterion", file=sys.stderr)
+        print(f"box of {tables} tables per criterion", file=sys.stderr)
 
     for criterion in which:
         start = time.perf_counter()
@@ -209,7 +209,8 @@ def cmd_ksearch(args: SimpleNamespace) -> tuple[int, object]:
         if args.v_max:
             certify_criterion(criterion, args.i_max, args.j_max, m_range, k_range)
         if args.verbose:
-            print(f"criterion {criterion.value}: {tables} tables, 0 hit(s), "
+            done = "certificate holds" if args.v_max else "the zero table only"
+            print(f"criterion {criterion.value}: {done}, "
                   f"{time.perf_counter() - start:.3f} s", file=sys.stderr)
     names = sorted(criterion.value for criterion in which)
 

@@ -42,7 +42,7 @@ class FiltrationTable(_Graded):
     meaningful near the boundary.
     """
 
-    __slots__ = ("_support",)  # `_lines` of the support, built on first use
+    __slots__ = ()
     _BAD_VALUE = "value at {} must be a nonnegative int"
     # Own binding, not inherited: perfbench/tracer.py patches vars(cls).
     __init__ = SparseMap.__init__
@@ -55,14 +55,6 @@ class FiltrationTable(_Graded):
 
     def get(self, i: int, j: int) -> int:
         return self._c.get((i, j), 0)
-
-    def _support_lines(self) -> tuple[dict, dict]:
-        # Built once per table: every finder reads it, at every (m, k).
-        try:
-            return self._support
-        except AttributeError:
-            object.__setattr__(self, "_support", _lines(self._c))
-            return self._support
 
     def to_csv(self) -> str:
         lines = ["i,j,value"]
@@ -94,10 +86,11 @@ def is_k_sequence(table: FiltrationTable, m: int, k: int) -> bool:
 # the antidiagonals of the set, as dicts from index to the list of their
 # cells, and (m, k); it yields (index, plus, minus): the cells in plus
 # sum to the cells in minus.  A line the dicts lack reads as empty.  The
-# certificate reads a builder on the lines of a box, a finder on the
-# lines of a table's support: a failing equality has a stored cell or a
-# nonzero line on one side, so the support's lines give it, or, for a
-# mirror, its twin with the same witness.
+# certificate reads a builder on the lines of a box, `_broken` on the
+# lines of a table's support, built once per table by its caller: a
+# failing equality has a stored cell or a nonzero line on one side, so
+# the support's lines give it, or, for a mirror, its twin with the same
+# witness.
 
 
 def _lines(cells: Iterable[tuple[int, int]]) -> tuple[dict, dict]:
@@ -123,19 +116,14 @@ def _mirror(centre):
 _ZEROS = itertools.repeat(0)  # the default of every read in `map(get, cells, _ZEROS)`
 
 
-def _finder(build, witness):
-    """The violation finder of the condition `build` writes, with the
-    signature (table, m, k): it yields witness(index, m, k), lazily, for
-    each equality the table breaks.  A report takes the least witness,
-    the search stops at the first, and `certify_criterion` reads the
-    equalities from the finder's ``build``."""
-    def finder(table: FiltrationTable, m: int, k: int) -> Iterator[tuple[int, ...]]:
-        get = table._c.get
-        for index, plus, minus in build(*table._support_lines(), m, k):
-            if sum(map(get, plus, _ZEROS)) != sum(map(get, minus, _ZEROS)):
-                yield witness(index, m, k)
-    finder.build = build
-    return finder
+def _broken(build, cells: dict, lines: tuple[dict, dict], m: int, k: int) -> Iterator:
+    """The index of each equality of `build`, read on `lines`, that the
+    table's `cells` break, lazily: a report takes the least
+    witness(index, m, k), and the search stops at the first."""
+    get = cells.get
+    for index, plus, minus in build(*lines, m, k):
+        if sum(map(get, plus, _ZEROS)) != sum(map(get, minus, _ZEROS)):
+            yield index
 
 
 def _pair_witness(cell: tuple[int, int], m: int, k: int) -> tuple[int, int]:
@@ -145,33 +133,32 @@ def _pair_witness(cell: tuple[int, int], m: int, k: int) -> tuple[int, int]:
     return (min(i, r) if r >= 0 else i), j
 
 
-# Per criterion, its conditions in order, as (label, finder).
+# Per criterion, its conditions in order, as (label, builder, witness).
 _CONDITIONS = {
     Criterion.FIRST: (
         # Nothing strictly left of column k.
-        ("i", _finder(lambda rows, diagonals, m, k: (
+        ("i", lambda rows, diagonals, m, k: (
             ((i, j), [(i, j)], []) for row in rows.values() for i, j in row if j < k),
-            lambda cell, m, k: cell)),
+         lambda cell, m, k: cell),
         # Every column symmetric about row m.
-        ("ii", _finder(_mirror(lambda m, k, j: m),
-                       lambda cell, m, k: (abs(cell[0] - m), cell[1]))),
+        ("ii", _mirror(lambda m, k, j: m), lambda cell, m, k: (abs(cell[0] - m), cell[1])),
         # Antidiagonal sums symmetric about m + k.
-        ("iii", _finder(lambda rows, diagonals, m, k: (
+        ("iii", lambda rows, diagonals, m, k: (
             (t, line, diagonals.get(2 * (m + k) - t, [])) for t, line in diagonals.items()),
-            lambda t, m, k: (abs(t - m - k),))),
+         lambda t, m, k: (abs(t - m - k),)),
     ),
     Criterion.SECOND: (
         # Within column j, rows mirror about m + k - j.
-        ("i", _finder(_mirror(lambda m, k, j: m + k - j), _pair_witness)),
+        ("i", _mirror(lambda m, k, j: m + k - j), _pair_witness),
         # Antidiagonal k + l carries the same mass as row l, for l >= 0.
-        ("ii", _finder(lambda rows, diagonals, m, k: (
+        ("ii", lambda rows, diagonals, m, k: (
             (l, diagonals.get(k + l, []), rows.get(l, []))
             for l in rows.keys() | {t - k for t in diagonals if t >= k}),
-            lambda l, m, k: (l,))),
+         lambda l, m, k: (l,)),
         # Row sums symmetric about m.
-        ("iii", _finder(lambda rows, diagonals, m, k: (
+        ("iii", lambda rows, diagonals, m, k: (
             (i, line, rows.get(2 * m - i, [])) for i, line in rows.items()),
-            lambda i, m, k: (abs(i - m),))),
+         lambda i, m, k: (abs(i - m),)),
     ),
 }
 
@@ -199,11 +186,13 @@ class CriterionReport(_Record):
 
 
 def _check(criterion: Criterion, table: FiltrationTable, m: int, k: int) -> CriterionReport:
-    _require_mk(m, k)
-    least = {label: min(f(table, m, k), default=None) for label, f in _CONDITIONS[criterion]}
+    is_k_seq = is_k_sequence(table, m, k)  # refuses a bad (m, k) first
+    lines = _lines(table._c)
+    least = {label: min((witness(index, m, k) for index in _broken(build, table._c, lines, m, k)),
+                        default=None) for label, build, witness in _CONDITIONS[criterion]}
     failed = next(((label, where) for label, where in least.items() if where is not None), None)
     return CriterionReport(criterion, m, k, *(where is None for where in least.values()),
-                           is_k_sequence(table, m, k), failed)
+                           is_k_seq, failed)
 
 
 def check_first_criterion(table: FiltrationTable, m: int, k: int) -> CriterionReport:
@@ -297,8 +286,8 @@ def certify_criterion(which: Criterion, i_max: int, j_max: int, m_range: Iterabl
                 return VerificationError(f"{which.value} criterion certificate fails at "
                                          f"m={m}, k={k}, cell {cell}: {what}")
 
-            equalities = {label: list(finder.build(rows, diagonals, m, k))
-                          for label, finder in _CONDITIONS[which]}
+            equalities = {label: list(build(rows, diagonals, m, k))
+                          for label, build, _ in _CONDITIONS[which]}
             forced: set[tuple[int, int]] = set()
             for stage in stages:
                 coefficient = dict.fromkeys(cells, 0)
@@ -395,9 +384,9 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
     This is the plain reference enumeration, the oracle that
     `certify_criterion` is tested against: for each table, in
     ``itertools.product`` order over the cells, then each m and then
-    each k, in sorted order, it records a hit when every finder of the
-    criterion yields nothing and the table is not a k-sequence.  So
-    results come in table order, then m, then k.
+    each k, in sorted order, it records a hit when `_broken` yields
+    nothing for every condition of the criterion and the table is not a
+    k-sequence.  So results come in table order, then m, then k.
 
     An empty result over a grid is finite evidence for the criterion
     (both criteria are proved in their checkers' docstrings).  The
@@ -415,9 +404,10 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
     found: list[tuple[FiltrationTable, int, int]] = []
     for values in itertools.product(range(v_max + 1), repeat=len(cells)):
         data = dict(itertools.compress(zip(cells, values), values))
-        table = FiltrationTable._of(data)
+        table, lines = FiltrationTable._of(data), _lines(data)  # once for every (m, k)
         for m, k in cases:
-            if (all(next(finder(table, m, k), None) is None for _, finder in _CONDITIONS[which])
+            if (all(next(_broken(build, data, lines, m, k), None) is None
+                    for _, build, _ in _CONDITIONS[which])
                     and not is_k_sequence(table, m, k)):
                 found.append((FiltrationTable(data), m, k))
     return found

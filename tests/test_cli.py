@@ -453,20 +453,33 @@ def test_verbose_goes_to_stderr(capsys):
     assert "dim=6" not in out
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-def test_ksearch_verbose_times_each_criterion_on_stderr_only(capsys, fmt):
-    argv = ["ksearch", "--i-max", "1", "--j-max", "1", "--format", fmt]
+def check_ksearch_verbose(capsys, argv, tables, done):
+    """ksearch --verbose prints stdout as without it, then the box and,
+    per criterion, the work it did and its time on stderr."""
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     code2, out2, err2 = run(capsys, *argv, "--verbose")
     assert (code2, out2) == (code, out)
     lines = err2.splitlines()
-    assert lines[0] == "scanning 16 tables per criterion"
+    assert lines[0] == f"box of {tables} tables per criterion"
     assert [line.rsplit(", ", 1)[0] for line in lines[1:]] == [
-        "criterion first: 16 tables, 0 hit(s)", "criterion second: 16 tables, 0 hit(s)"]
+        f"criterion first: {done}", f"criterion second: {done}"]
     for line in lines[1:]:
         seconds, unit = line.rsplit(", ", 1)[1].split()
         assert unit == "s" and float(seconds) >= 0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_ksearch_verbose_times_each_criterion_on_stderr_only(capsys, fmt):
+    argv = ["ksearch", "--i-max", "1", "--j-max", "1", "--format", fmt]
+    check_ksearch_verbose(capsys, argv, 16, "certificate holds")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_ksearch_verbose_with_v_max_0_names_the_zero_table(capsys, fmt):
+    # with --v-max 0 no certificate runs: the one table is the zero table
+    argv = ["ksearch", "--i-max", "1", "--j-max", "1", "--v-max", "0", "--format", fmt]
+    check_ksearch_verbose(capsys, argv, 1, "the zero table only")
 
 
 def test_a_failing_certificate_exits_1_naming_the_cell(capsys, monkeypatch):
@@ -478,7 +491,7 @@ def test_a_failing_certificate_exits_1_naming_the_cell(capsys, monkeypatch):
                          "--j-max", "1", "--k-min", "0", "--k-max", "0", "--verbose")
     assert (code, out) == (1, "")
     assert err.splitlines() == [
-        "scanning 16 tables per criterion",
+        "box of 16 tables per criterion",
         "verification failure: first criterion certificate fails at m=1, k=0, "
         "cell (1, 1): coefficient 0 off column k"]
 
@@ -522,8 +535,7 @@ def test_ksearch_with_v_max_0_builds_no_equalities(capsys, monkeypatch):
         return build
 
     monkeypatch.setattr(filtration, "_CONDITIONS", {
-        criterion: tuple((label, filtration._finder(counted(finder.build), lambda *index: index))
-                         for label, finder in conditions)
+        criterion: tuple((label, counted(build), witness) for label, build, witness in conditions)
         for criterion, conditions in filtration._CONDITIONS.items()})
     tracemalloc.start()
     try:

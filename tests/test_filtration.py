@@ -232,6 +232,13 @@ def far_tables(draw):
     return cells, m, draw(st.integers(c - 2, c + 2))
 
 
+def witnesses(build, witness, table, m, k):
+    """The witnesses of the condition (build, witness) that the table
+    breaks, lazily, as a report reads them: `_broken` on its lines."""
+    lines = filtration._lines(table._c)
+    return (witness(index, m, k) for index in filtration._broken(build, table._c, lines, m, k))
+
+
 @given(st.one_of(near_tables(), far_tables()))
 @settings(deadline=None)
 def test_every_condition_reports_its_first_witness(case):
@@ -239,8 +246,9 @@ def test_every_condition_reports_its_first_witness(case):
     table = FiltrationTable(cells)
     expected = reference_witnesses(cells, m, k)
     for criterion, conditions in filtration._CONDITIONS.items():
-        for label, finder in conditions:
-            assert min(finder(table, m, k), default=None) == expected[(criterion.value, label)]
+        for label, build, witness in conditions:
+            found = min(witnesses(build, witness, table, m, k), default=None)
+            assert found == expected[(criterion.value, label)]
 
 
 TABLES = st.dictionaries(
@@ -248,13 +256,14 @@ TABLES = st.dictionaries(
 
 
 @given(TABLES, st.integers(1, 5), st.integers(0, 4))
-def test_every_finder_is_a_lazy_iterator(cells, m, k):
-    # the search reads one witness, so a finder must not build them all
+def test_broken_is_a_lazy_iterator(cells, m, k):
+    # the search reads one broken equality, so `_broken` must not find them all
     table = FiltrationTable(cells)
+    lines = filtration._lines(table._c)
     for conditions in filtration._CONDITIONS.values():
-        for label, finder in conditions:
-            witnesses = finder(table, m, k)
-            assert iter(witnesses) is witnesses, label
+        for label, build, _ in conditions:
+            broken = filtration._broken(build, table._c, lines, m, k)
+            assert iter(broken) is broken, label
 
 
 @given(TABLES, st.integers(1, 5), st.integers(0, 4))
@@ -263,8 +272,8 @@ def test_the_first_witness_decides_as_the_report_does(cells, m, k):
     table = FiltrationTable(cells)
     for criterion, conditions in filtration._CONDITIONS.items():
         report = filtration._check(criterion, table, m, k)
-        for label, finder in conditions:
-            holds = next(finder(table, m, k), None) is None
+        for label, build, witness in conditions:
+            holds = next(witnesses(build, witness, table, m, k), None) is None
             assert holds == getattr(report, f"cond_{label}"), (criterion, label)
 
 
@@ -471,17 +480,18 @@ def boxed_tables(draw):
 @settings(deadline=None)
 def test_each_conditions_equalities_hold_iff_its_finder_finds_nothing(boxed, m, k):
     # The certificate reads each condition's builder on the box's lines,
-    # the finder on the table's support lines; on a table in the box the
+    # `_broken` on the table's support lines; on a table in the box the
     # two must agree.
     i_max, j_max, table = boxed
     box = filtration._lines(itertools.product(range(i_max + 1), range(j_max + 1)))
     for criterion, conditions in filtration._CONDITIONS.items():
-        for label, finder in conditions:
-            equalities = finder.build(*box, m, k)
+        for label, build, witness in conditions:
+            equalities = build(*box, m, k)
             holds = all(sum(table.get(*cell) for cell in plus)
                         == sum(table.get(*cell) for cell in minus)
                         for _, plus, minus in equalities)
-            assert holds == (next(finder(table, m, k), None) is None), (criterion, label)
+            found = next(witnesses(build, witness, table, m, k), None)
+            assert holds == (found is None), (criterion, label)
 
 
 # The small boxes, the ksearch default box and the two 3x3 boxes the
@@ -539,7 +549,7 @@ def test_a_condition_is_written_once_for_the_report_the_search_and_the_certifica
     assert check_first_criterion(table, 1, 0).passed
     conditions = dict(filtration._CONDITIONS)
     conditions[Criterion.FIRST] = conditions[Criterion.FIRST][:2] + (
-        ("iii", filtration._finder(moved, lambda t, m, k: (abs(t - m - k - 1),))),)
+        ("iii", moved, lambda t, m, k: (abs(t - m - k - 1),)),)
     monkeypatch.setattr(filtration, "_CONDITIONS", conditions)
     report = check_first_criterion(table, 1, 0)
     assert (report.cond_iii, report.first_violation) == (False, ("iii", (1,)))
