@@ -21,7 +21,6 @@ namespace.
 from __future__ import annotations
 
 import atexit
-import gc
 import os
 import sys
 import time
@@ -363,12 +362,6 @@ def _write(path: str | None, mode: str, text: str) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
-        # The program entry: move everything allocated so far (the
-        # interpreter's, site's and the package's objects) into the
-        # collector's permanent generation, which no collection scans,
-        # so the full collections at interpreter exit skip them.  A
-        # library call main([...]) leaves the caller's collector alone.
-        gc.freeze()
         argv = sys.argv[1:]
     args = _parse_direct(argv)
     if args is None:
@@ -398,16 +391,18 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> None:
     """The program entry (python -m pwcheck.cli and the pwcheck script):
     main() from sys.argv, then the process ends with main's exit code, or
-    with 2 and an "error:" line when stdout cannot be flushed.  It never
-    returns.
+    argparse's for help and usage errors, or with 2 and an "error:" line
+    when stdout cannot be flushed.  It never returns.
 
     The registered atexit callbacks run and stdout and stderr are
     flushed, as at the interpreter's own exit, and then os._exit ends the
     process without the rest of that exit, which clears and frees every
-    module loaded.  A SystemExit from main (argparse's help and usage
-    errors) leaves through the interpreter's exit as before.
+    module loaded.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()

@@ -14,7 +14,7 @@ import enum
 
 from ._frozen import require_int
 from .epoly import InconsistentFormulaError, ModuliParams, closed_e, require_prime
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _exact_quotient
 
 
 class SpecialType(enum.Enum):
@@ -55,7 +55,9 @@ def evar_type_route(params: ModuliParams) -> LaurentPoly:
     # n times each family's signed count, up to the shared scale, is
     # n^{2g} - 1 for the split family and 1 - n^{2g} for the nonsplit one.
     split, nonsplit = (type_contribution(special_hook(kind, n), g) for kind in SpecialType)
-    return ((n ** (2 * g) - 1) * (split - nonsplit))._divide_coefficients(n)
+    scale = n ** (2 * g) - 1
+    return LaurentPoly._of({e: _exact_quotient(scale * c, n)
+                            for e, c in (split - nonsplit).terms()})
 
 
 def evar_from_types(params: ModuliParams) -> LaurentPoly:

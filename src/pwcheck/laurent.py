@@ -84,11 +84,6 @@ class _SparsePoly(SparseMap):
 
     terms = SparseMap.items  # (key, coefficient) pairs in increasing key order
 
-    def _divide_coefficients(self, n: int) -> _SparsePoly:
-        """This polynomial with every coefficient divided by n; raises
-        InexactDivisionError unless n divides each."""
-        return self._of({k: _exact_quotient(c, n) for k, c in self._c.items()})
-
     def _as_poly(self, other: object) -> _SparsePoly | None:
         """other as this class, an int scalar as a constant, else None."""
         if isinstance(other, type(self)):

@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -613,6 +614,41 @@ def test_a_non_integral_one_over_n_is_a_verification_failure(capsys, monkeypatch
     assert err.startswith("verification failure: ") and err.count("\n") == 1
 
 
+Q = LaurentPoly({1: 1})
+SPLIT_HOOK = hookchar.special_hook(hookchar.SpecialType.SPLIT, 3)
+# Each route that ends in the division by n: a verb that reads it, the
+# function it calls before the division, a bend of that function by q at
+# one coefficient, and the routes of verify built from the bent route
+# (variant_betti and verify_pw's perverse table read closed_e, and
+# verify_pw's weight table reads the type route).
+BENT_BEFORE_THE_DIVISION = {
+    "closed_e": ("epoly", epoly, "variant_bracket",
+                 lambda bracket: lambda n, g: bracket(n, g) + Q, {"closed", "betti", "pw"}),
+    "evar_type_route": ("pw", hookchar, "type_contribution",
+                        lambda contribution: lambda hook, g: (
+                            contribution(hook, g) + (Q if hook == SPLIT_HOOK else 0)),
+                        {"type", "pw"}),
+}
+
+
+@pytest.mark.parametrize("route", BENT_BEFORE_THE_DIVISION)
+def test_a_division_by_n_that_leaves_the_ints_is_a_failed_check(capsys, monkeypatch, route):
+    verb, module, name, bend, built = BENT_BEFORE_THE_DIVISION[route]
+    monkeypatch.setattr(module, name, bend(getattr(module, name)))
+    code, out, err = run(capsys, verb, "--n", "3", "--g", "2")
+    assert (code, out) == (1, "")
+    message = re.fullmatch(
+        r"verification failure: (coefficient -?\d+ is not divisible by 3)\n", err)[1]
+    code, out, _ = run(capsys, "verify", "--n", "3", "--g", "2")
+    readers = [check for check, (reads, _) in cli._CHECKS.items() if built & set(reads)]
+    assert code == 1
+    assert [line if line.startswith("FAIL") else line.split(" (")[0]
+            for line in out.splitlines()] == [
+        f"FAIL {check} (error: InexactDivisionError: {message})" if check in readers
+        else f"PASS {check}" for check in cli._CHECKS] + [
+        f"{len(readers)} check(s) failed: {', '.join(readers)}"]
+
+
 @pytest.mark.parametrize("argv, plain", [
     ("pw --form json --n 3 --g 2", "pw --format json --n 3 --g 2"),
     ("pw --n=3 --g=2", "pw --n 3 --g 2"),
@@ -725,25 +761,6 @@ def test_python_m_gives_the_in_process_bytes_and_exit(capsys, tmp_path, verb, fm
     assert target.read_bytes() == out.encode()
 
 
-# main() from sys.argv, in a child under -S (no site .pth file freezes
-# or imports anything first); prints the freeze count before and after.
-FREEZE_PROGRAM = """
-import gc, sys
-from pwcheck.cli import main
-before = gc.get_freeze_count()
-code = main()
-print(before, gc.get_freeze_count())
-sys.exit(code)
-"""
-
-
-def test_the_program_entry_freezes_the_start_up_heap():
-    result = _python("-S", "-c", FREEZE_PROGRAM, "verify", "--n", "5", "--g", "2")
-    assert (result.returncode, result.stderr) == (0, b"")
-    before, after = map(int, result.stdout.split()[-2:])
-    assert before == 0 and after > 0
-
-
 def test_a_library_call_leaves_the_collector_alone(capsys):
     state = gc.get_freeze_count(), gc.isenabled()
     assert run(capsys, "verify", "--n", "5", "--g", "2")[0] == 0
@@ -761,25 +778,41 @@ entry()
 """
 
 
-@pytest.mark.parametrize("argv", ["verify --n 5 --g 2", "pw --n 4 --g 2"])
+@pytest.mark.parametrize("argv", [
+    "verify --n 5 --g 2", "pw --n 4 --g 2", "--help", "verify --n 3"])
 def test_the_entry_runs_the_atexit_callbacks_after_main(capsys, argv):
     code, out, _ = run(capsys, *argv.split())
     result = _python("-c", ATEXIT_PROGRAM, *argv.split())
     assert (result.returncode, result.stdout) == (code, out.encode() + b"bye\n")
 
 
-# verify's few hundred bytes fit the stdout buffer, so buffered they fail
-# only when the entry flushes them; epoly's 52 KB outgrow it, so the write
-# in main fails, and leaves nothing buffered for the flush to fail on again.
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("argv", ["verify --n 5 --g 2", "epoly --n 31 --g 8"])
-def test_a_failed_write_of_stdout_exits_2_with_one_error_line(argv, unbuffered):
+def _to_full(argv, unbuffered):
+    """(exit code, stderr) of python -m pwcheck.cli argv with stdout on /dev/full."""
     with open("/dev/full", "w") as full:
         result = _python("-m", "pwcheck.cli", *argv.split(), stdout=full,
                          PYTHONUNBUFFERED="1" if unbuffered else None)
-    message = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-    assert (result.returncode, result.stderr) == (2, f"error: {message}\n".encode())
+    return result.returncode, result.stderr
+
+
+NO_SPACE = f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n".encode()
+needs_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+# verify's few hundred bytes fit the stdout buffer, so buffered they fail
+# only when the entry flushes them; epoly's 52 KB outgrow it, so the write
+# in main fails, and leaves nothing buffered for the flush to fail on again.
+@needs_full
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", ["verify --n 5 --g 2", "epoly --n 31 --g 8"])
+def test_a_failed_write_of_stdout_exits_2_with_one_error_line(argv, unbuffered):
+    assert _to_full(argv, unbuffered) == (2, NO_SPACE)
+
+
+# argparse writes the help itself, and drops an OSError from that write,
+# so only a buffered help fails, when the entry flushes it.
+@needs_full
+def test_a_buffered_help_that_cannot_be_flushed_exits_2_with_one_error_line():
+    assert _to_full("--help", unbuffered=False) == (2, NO_SPACE)
 
 
 def _main_block_call(path):

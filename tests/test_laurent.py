@@ -15,6 +15,7 @@ from pwcheck.laurent import (
     BiLaurentPoly,
     InexactDivisionError,
     LaurentPoly,
+    _exact_quotient,
 )
 
 coeffs = st.integers(-5, 5)
@@ -67,28 +68,13 @@ def test_a_bool_equals_no_polynomial(cls, flag):
         assert not flag == p and flag != p
 
 
-@pytest.mark.parametrize("cls, a, b", [(LaurentPoly, 1, -2), (BiLaurentPoly, (1, 0), (0, -2))])
-def test_divide_coefficients_is_exact(cls, a, b):
-    # The one division by n of every route: an int where it divides, the
-    # sign kept, and the caller's class; anywhere it does not, a failed
-    # check.
-    got = cls({a: -6, b: 9})._divide_coefficients(3)
-    assert type(got) is cls and got == cls({a: -2, b: 3})
-    assert all(type(c) is int for _, c in got.terms())
+def test_exact_quotient_is_exact():
+    # The one division by n that ends every route: an int where it
+    # divides, the sign kept; anywhere it does not, a failed check.
+    assert [_exact_quotient(x, 3) for x in (-6, 9, 0)] == [-2, 3, 0]
     with pytest.raises(InexactDivisionError, match="^coefficient -7 is not divisible by 3$"):
-        cls({a: -6, b: -7})._divide_coefficients(3)
+        _exact_quotient(-7, 3)
     assert issubclass(InexactDivisionError, VerificationError)
-
-
-@given(polys, bipolys, st.integers(1, 12))
-def test_divide_coefficients_undoes_a_scaling(p, q, n):
-    assert (p * n)._divide_coefficients(n) == p
-    assert (q * n)._divide_coefficients(n) == q
-    if any(c % n for _, c in p.terms()):
-        with pytest.raises(InexactDivisionError):
-            p._divide_coefficients(n)
-    else:
-        assert p._divide_coefficients(n) * n == p
 
 
 def test_zero_coefficients_dropped():
@@ -320,9 +306,9 @@ def test_arithmetic_results_are_never_checked_again(monkeypatch):
     v = BiLaurentPoly({(1, 1): 1, (0, 0): 3})
 
     def results():
-        return [a + b, a - b, a * b, a ** 3, -a, a._divide_coefficients(3),
+        return [a + b, a - b, a * b, a ** 3, -a,
                 (a * b).divide_exact(b), a.reverse(2), LaurentPoly.zero(), LaurentPoly.one(),
-                u + v, u - v, u * v, u ** 3, -u, u._divide_coefficients(3), u.swap(),
+                u + v, u - v, u * v, u ** 3, -u, u.swap(),
                 u.diagonal(), (u * v).diagonal(), BiLaurentPoly.zero(), BiLaurentPoly.one()]
 
     expected = results()

@@ -138,8 +138,7 @@ def test_verify_does_not_run_the_library_cross_check(monkeypatch, capsys):
 
 
 KERNEL = [(LaurentPoly, "__mul__"), (LaurentPoly, "__rmul__"), (LaurentPoly, "__add__"),
-          (LaurentPoly, "__sub__"), (LaurentPoly, "divide_exact"), (_SparsePoly, "_power"),
-          (_SparsePoly, "_divide_coefficients")]
+          (LaurentPoly, "__sub__"), (LaurentPoly, "divide_exact"), (_SparsePoly, "_power")]
 
 
 @pytest.mark.parametrize("n,g", [*POINTS, (13, 4)])

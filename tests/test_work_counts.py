@@ -46,7 +46,7 @@ def _calls(call, *args):
     return result, counts
 
 
-@pytest.mark.parametrize("n, g, products", [(5, 2, 27), (13, 4, 45)])
+@pytest.mark.parametrize("n, g, products", [(5, 2, 25), (13, 4, 43)])
 def test_verify_stays_within_its_call_bounds(capsys, n, g, products):
     previous = sys.getprofile()
     status, counts = _calls(main, ["verify", "--n", str(n), "--g", str(g)])
