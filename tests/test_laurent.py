@@ -68,12 +68,20 @@ def test_a_bool_equals_no_polynomial(cls, flag):
         assert not flag == p and flag != p
 
 
-def test_exact_quotient_is_exact():
-    # The one division by n that ends every route: an int where it
-    # divides, the sign kept; anywhere it does not, a failed check.
-    assert [_exact_quotient(x, 3) for x in (-6, 9, 0)] == [-2, 3, 0]
+@pytest.mark.parametrize("cls, a, b", [(LaurentPoly, 1, -2), (BiLaurentPoly, (1, 0), (0, -2))])
+def test_divide_coefficients_is_exact(cls, a, b):
+    # The one division by n that ends every route, in the form the routes
+    # write it: an int where it divides, the sign kept, and the caller's
+    # class; anywhere it does not, a failed check.
+    def divide(p, n):
+        return cls._of({k: _exact_quotient(c, n) for k, c in p.terms()})
+
+    got = divide(cls({a: -6, b: 9}), 3)
+    assert type(got) is cls and got == cls({a: -2, b: 3})
+    assert all(type(c) is int for _, c in got.terms())
+    assert _exact_quotient(0, 3) == 0
     with pytest.raises(InexactDivisionError, match="^coefficient -7 is not divisible by 3$"):
-        _exact_quotient(-7, 3)
+        divide(cls({a: -6, b: -7}), 3)
     assert issubclass(InexactDivisionError, VerificationError)
 
 
