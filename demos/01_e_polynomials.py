@@ -12,7 +12,7 @@ for n, g in [(2, 2), (3, 2), (2, 3)]:
     print(f"  E = {poly}")
 
     weight = (2 * g - 2) * (2 * n * n + n - 3)
-    print(f"  palindromic about weight {weight}: {poly.is_palindromic(weight)}")
+    print(f"  palindromic about weight {weight}: {poly == poly.reverse(weight)}")
 
     profile = variant_betti(params)
     for d, v in profile.items():

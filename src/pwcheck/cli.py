@@ -284,7 +284,14 @@ def build_parser():
     """
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self) -> None:
+            # argparse's own write of the help drops an OSError; this one
+            # is a failed write of stdout, like any other.
+            if not _write(None, "w", self.format_help()):
+                raise SystemExit(2)
+
+    parser = Parser(
         prog="pwcheck",
         description="exact checks for prime-rank perverse/weight identities")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -140,13 +140,6 @@ class CohomologyProfile(_Graded):
     def __getitem__(self, degree: int) -> int:
         return self._c.get(degree, 0)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, dict):
-            return self._c == {d: v for d, v in other.items() if v}
-        return _Graded.__eq__(self, other)
-
-    __hash__ = _Graded.__hash__
-
     def support(self) -> tuple[int, int]:
         """(lowest, highest) degree with a nonzero group; raises if empty."""
         if not self._c:

@@ -2,9 +2,11 @@
 
 Exponents are integers: the key ``3`` means ``q**3``.  Every coefficient
 is an exact ``int``, never a float, so equality is exact; a division that
-would leave the integers raises InexactDivisionError.  The JSON form,
-which is written and never read, holds each coefficient as its decimal
-str and each exponent doubled for compatibility.
+would leave the integers raises InexactDivisionError.  A polynomial
+equals, and adds to or multiplies, only a polynomial of its own class,
+never an int.  The JSON form of a LaurentPoly, which is written and
+never read, holds each coefficient as its decimal str and each exponent
+doubled for compatibility.
 
 >>> p = LaurentPoly({1: 1, 0: -2, -1: 1})      # q - 2 + q**-1
 >>> print(p * p)
@@ -64,7 +66,9 @@ class _SparsePoly(SparseMap):
     The code of LaurentPoly and BiLaurentPoly that does not depend on the
     number of variables.  A subclass sets ``_key``, which checks a key and
     returns it or raises ValueError, and ``_UNIT``, the key of the constant
-    term.  Arithmetic builds its results through ``_of``, unchecked.
+    term.  Equality and hashing are SparseMap's.  Arithmetic takes an
+    operand of its own class, gives NotImplemented for any other, an int
+    among them, and builds its results through ``_of``, unchecked.
     """
 
     __slots__ = ()
@@ -84,40 +88,13 @@ class _SparsePoly(SparseMap):
 
     terms = SparseMap.items  # (key, coefficient) pairs in increasing key order
 
-    def _as_poly(self, other: object) -> _SparsePoly | None:
-        """other as this class, an int scalar as a constant, else None."""
-        if isinstance(other, type(self)):
-            return other
-        if type(other) is int:
-            return type(self)({self._UNIT: other})
-        return None
-
-    def __eq__(self, other: object) -> bool:
-        rhs = self._as_poly(other)
-        if rhs is None:
-            return NotImplemented
-        return self._c == rhs._c
-
-    def __hash__(self) -> int:
-        # A constant hashes like the scalar it equals.
-        if self._c.keys() <= {self._UNIT}:
-            return hash(self._c.get(self._UNIT, 0))
-        return SparseMap.__hash__(self)
-
     def __neg__(self) -> _SparsePoly:
         return self._of({k: -c for k, c in self._c.items()})
 
     def __sub__(self, other: object) -> _SparsePoly:
-        rhs = self._as_poly(other)
-        if rhs is None:
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> _SparsePoly:
-        rhs = self._as_poly(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+        return self + (-other)
 
     def _power(self, n: int) -> _SparsePoly:
         """Nonnegative integer power by binary exponentiation: one product
@@ -178,28 +155,22 @@ class LaurentPoly(_SparsePoly):
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other: object) -> "LaurentPoly":
-        rhs = self._as_poly(other)
-        if rhs is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         data = dict(self._c)
-        for t, c in rhs._c.items():
+        for t, c in other._c.items():
             data[t] = data.get(t, 0) + c
         return LaurentPoly._of(_normal(data))
 
-    __radd__ = __add__
-
     def __mul__(self, other: object) -> "LaurentPoly":
-        rhs = self._as_poly(other)
-        if rhs is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         data: dict[int, int] = {}
         for ta, ca in self._c.items():
-            for tb, cb in rhs._c.items():
+            for tb, cb in other._c.items():
                 t = ta + tb
                 data[t] = data.get(t, 0) + ca * cb
         return LaurentPoly._of(_normal(data))
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         return self._power(n)
@@ -243,14 +214,6 @@ class LaurentPoly(_SparsePoly):
             raise ValueError(f"weight {weight!r} must be an int")
         return LaurentPoly._of({weight - t: c for t, c in self._c.items()})
 
-    def is_palindromic(self, weight: int) -> bool:
-        """True when p(q) == q**weight * p(1/q).
-
-        >>> LaurentPoly({0: 1, 1: 5, 2: 1}).is_palindromic(2)
-        True
-        """
-        return self._c == self.reverse(weight)._c
-
     # -- wire format ---------------------------------------------------
 
     def to_json_obj(self) -> list[list]:
@@ -290,28 +253,22 @@ class BiLaurentPoly(_SparsePoly):
         return _format_terms([(power(k), c) for k, c in order])
 
     def __add__(self, other: object) -> "BiLaurentPoly":
-        rhs = self._as_poly(other)
-        if rhs is None:
+        if not isinstance(other, BiLaurentPoly):
             return NotImplemented
         data = dict(self._c)
-        for k, c in rhs._c.items():
+        for k, c in other._c.items():
             data[k] = data.get(k, 0) + c
         return BiLaurentPoly._of(_normal(data))
 
-    __radd__ = __add__
-
     def __mul__(self, other: object) -> "BiLaurentPoly":
-        rhs = self._as_poly(other)
-        if rhs is None:
+        if not isinstance(other, BiLaurentPoly):
             return NotImplemented
         data: dict[tuple[int, int], int] = {}
         for (au, av), ca in self._c.items():
-            for (bu, bv), cb in rhs._c.items():
+            for (bu, bv), cb in other._c.items():
                 k = (au + bu, av + bv)
                 data[k] = data.get(k, 0) + ca * cb
         return BiLaurentPoly._of(_normal(data))
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiLaurentPoly":
         return self._power(n)
@@ -331,6 +288,3 @@ class BiLaurentPoly(_SparsePoly):
             t = a + b
             data[t] = data.get(t, 0) + c
         return LaurentPoly._of(_normal(data))
-
-    def to_json_obj(self) -> list[list]:
-        return [[2 * a, 2 * b, str(c)] for (a, b), c in self.items()]

@@ -57,7 +57,7 @@ def _name(names, code, name):
 
 def code_names():
     """{code object: "module.qualname"} for all the package's code that
-    runs in a call.  An alias such as ``__radd__ = __add__`` shares its
+    runs in a call.  An alias such as ``terms = SparseMap.items`` shares its
     code, so it takes the name the function was defined under; a member
     a class takes from the stdlib, such as an enum's ``__new__``, is left out.
     Indexing names any other code of the package's files by its module."""

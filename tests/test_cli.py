@@ -608,7 +608,7 @@ def test_a_non_integral_one_over_n_is_a_verification_failure(capsys, monkeypatch
     # A bracket off by one makes closed_e's exact division by n leave the
     # ints: a failed check, never a coefficient printed as a fraction.
     bracket = epoly.variant_bracket
-    monkeypatch.setattr(epoly, "variant_bracket", lambda n, g: bracket(n, g) + 1)
+    monkeypatch.setattr(epoly, "variant_bracket", lambda n, g: bracket(n, g) + LaurentPoly.one())
     code, out, err = run(capsys, verb, "--n", "3", "--g", "2")
     assert (code, out) == (1, "")
     assert err.startswith("verification failure: ") and err.count("\n") == 1
@@ -626,7 +626,8 @@ BENT_BEFORE_THE_DIVISION = {
                  lambda bracket: lambda n, g: bracket(n, g) + Q, {"closed", "betti", "pw"}),
     "evar_type_route": ("pw", hookchar, "type_contribution",
                         lambda contribution: lambda hook, g: (
-                            contribution(hook, g) + (Q if hook == SPLIT_HOOK else 0)),
+                            contribution(hook, g) + Q if hook == SPLIT_HOOK
+                            else contribution(hook, g)),
                         {"type", "pw"}),
 }
 
@@ -808,11 +809,14 @@ def test_a_failed_write_of_stdout_exits_2_with_one_error_line(argv, unbuffered):
     assert _to_full(argv, unbuffered) == (2, NO_SPACE)
 
 
-# argparse writes the help itself, and drops an OSError from that write,
-# so only a buffered help fails, when the entry flushes it.
+# The help goes through the same write as any output, not argparse's,
+# which drops an OSError: unbuffered it fails in that write, buffered
+# when the entry flushes it.
 @needs_full
-def test_a_buffered_help_that_cannot_be_flushed_exits_2_with_one_error_line():
-    assert _to_full("--help", unbuffered=False) == (2, NO_SPACE)
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", ["--help", "verify --help"])
+def test_a_help_that_cannot_be_written_exits_2_with_one_error_line(argv, unbuffered):
+    assert _to_full(argv, unbuffered) == (2, NO_SPACE)
 
 
 def _main_block_call(path):

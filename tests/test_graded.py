@@ -1,10 +1,14 @@
 """The graded-dimension core shared by FiltrationTable and CohomologyProfile,
-and the key and value checks of the graded and polynomial constructors."""
+the one equality rule of every sparse value, and the key and value checks
+of the graded and polynomial constructors."""
 
 import enum
 import json
+import operator
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pwcheck.epoly import CohomologyProfile
 from pwcheck.filtration import FiltrationTable
@@ -48,6 +52,48 @@ def test_the_two_classes_never_compare_equal():
     assert FiltrationTable() != CohomologyProfile()
     assert not FiltrationTable() == CohomologyProfile()
     assert CohomologyProfile({0: 1}) != FiltrationTable({(0, 0): 1})
+
+
+# Entries of each sparse value class, drawn from few keys and values so
+# that equal entries come up often; zeros are drawn, and dropped.
+ENTRIES = {
+    LaurentPoly: st.dictionaries(st.integers(-1, 1), st.integers(-2, 2), max_size=3),
+    BiLaurentPoly: st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                                   st.integers(-2, 2), max_size=3),
+    CohomologyProfile: st.dictionaries(st.integers(-1, 1), st.integers(0, 2), max_size=3),
+    FiltrationTable: st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                                     st.integers(0, 2), max_size=3),
+}
+sparse_values = st.one_of(*(entries.map(cls) for cls, entries in ENTRIES.items()))
+polynomials = st.one_of(ENTRIES[LaurentPoly].map(LaurentPoly),
+                        ENTRIES[BiLaurentPoly].map(BiLaurentPoly))
+
+
+@given(sparse_values, sparse_values)
+def test_two_values_are_equal_exactly_when_class_and_entries_are(a, b):
+    same = type(a) is type(b) and dict(a.items()) == dict(b.items())
+    assert (a == b) is same and (b == a) is same and (a != b) is not same
+    if same:
+        assert hash(a) == hash(b)
+
+
+@given(sparse_values, st.integers(-2, 2))
+def test_a_value_equals_no_int_and_no_dict(a, n):
+    # Not even the dict of its entries, or their sum, which is the value
+    # of a constant polynomial.
+    entries = dict(a.items())
+    for other in (n, sum(entries.values()), entries):
+        assert not a == other and a != other
+        assert not other == a and other != a
+
+
+@given(polynomials, st.integers(-2, 2))
+def test_polynomial_arithmetic_with_an_int_raises(p, n):
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(p, n)
+        with pytest.raises(TypeError):
+            op(n, p)
 
 
 class Small(enum.IntEnum):

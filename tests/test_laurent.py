@@ -33,11 +33,12 @@ def test_docstrings_hold():
 
 def test_basic_arithmetic():
     p = LaurentPoly({1: 1, 0: -1})
-    assert p + 1 == LaurentPoly({1: 1})
-    assert 1 + p == p + 1
+    one = LaurentPoly.one()
+    assert p + one == LaurentPoly({1: 1})
+    assert one + p == p + one
     assert p - p == LaurentPoly.zero()
     assert not (p - p)
-    assert 2 * p == p + p
+    assert LaurentPoly({0: 2}) * p == p + p
     assert p * LaurentPoly.one() == p
     assert p ** 0 == LaurentPoly.one()
     assert p ** 1 == p
@@ -118,13 +119,8 @@ def test_pow_matches_repeated_multiplication(p, n):
 @given(polys, st.integers(-4, 4))
 def test_reverse_is_an_involution(p, w):
     assert p.reverse(w).reverse(w) == p
-
-
-@given(polys, st.integers(-4, 4))
-def test_palindromic_means_equal_to_reverse(p, w):
     sym = p + p.reverse(w)
-    assert sym.is_palindromic(w)
-    assert p.is_palindromic(w) == (p == p.reverse(w))
+    assert sym.reverse(w) == sym
 
 
 class Weight(enum.IntEnum):
@@ -138,9 +134,8 @@ def test_reverse_and_palindromy_take_only_an_int_weight(weight):
     # as its value, and a float is refused by name, not as a bad key.
     message = f"^weight {re.escape(repr(weight))} must be an int$"
     for p in (LaurentPoly({0: 1, 1: 5, 2: 1}), LaurentPoly.zero()):
-        for method in (p.reverse, p.is_palindromic):
-            with pytest.raises(ValueError, match=message):
-                method(weight)
+        with pytest.raises(ValueError, match=message):
+            p.reverse(weight)
 
 
 @given(polys, polys)
@@ -177,8 +172,6 @@ def test_json_wire_shape():
     # The wire holds twice each exponent, for compatibility.
     p = LaurentPoly({3: 12, -1: -4})
     assert p.to_json() == '[[-2,"-4"],[6,"12"]]'
-    bi = BiLaurentPoly({(1, 0): 3, (0, -2): -1})
-    assert bi.to_json() == '[[0,-4,"-1"],[2,0,"3"]]'
 
 
 @given(bipolys, bipolys)
@@ -207,16 +200,12 @@ def test_shared_core(cls, coeffs, expected_repr):
     with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
         p.other = 1
     assert not hasattr(p, "__dict__")
-    three = cls.one() * 3
-    assert three == 3 and hash(three) == hash(3)
-    assert three != Fraction(3) and three != 3.0 and three != 4
-    assert hash(cls.zero()) == hash(0)
     assert type(cls.zero()) is cls and not cls.zero()
-    assert type(cls.one()) is cls and cls.one() == 1
-    assert type(-p) is cls and type(1 - p) is cls and type(p ** 2) is cls
+    assert type(cls.one()) is cls and cls.one() == cls({cls._UNIT: 1})
+    assert cls.one() != Fraction(1) and cls.one() != 1.0 and cls.one() != 1
+    assert type(-p) is cls and type(cls.one() - p) is cls and type(p ** 2) is cls
     assert repr(p) == expected_repr
     assert repr(cls.zero()) == f"{cls.__name__}({{}})"
-    assert json.loads(p.to_json()) == p.to_json_obj()
 
 
 def test_polynomials_in_different_variables_never_compare_equal():
@@ -256,17 +245,10 @@ def test_pow_squares_the_base_only_while_bits_remain(monkeypatch):
         q_minus_1 ** -1
 
 
-@given(bipolys)
-def test_bivariate_json_round_trip(p):
-    wire = json.loads(p.to_json())
-    assert wire == p.to_json_obj()
-    assert BiLaurentPoly({(a // 2, b // 2): int(c) for a, b, c in wire}) == p
-
-
 def test_bivariate_arithmetic():
     u = BiLaurentPoly({(1, 0): 1})
     v = BiLaurentPoly({(0, 1): 1})
-    assert (u + v) ** 2 == u * u + 2 * u * v + v * v
+    assert (u + v) ** 2 == u * u + BiLaurentPoly({(0, 0): 2}) * u * v + v * v
     assert (u - v).swap() == v - u
     assert (u * v).diagonal() == LaurentPoly({2: 1})
 
@@ -281,9 +263,11 @@ def _assert_exact(*polys):
 @given(polys, polys, st.integers(0, 3), st.booleans())
 @settings(deadline=None)
 def test_coefficients_stay_exact(a, b, n, flag):
-    _assert_exact(a, a + b, a - b, a * b, a ** n, 3 * a, a + 1, LaurentPoly(dict(a.terms())))
+    two, three = LaurentPoly({0: 2}), LaurentPoly({0: 3})
+    _assert_exact(a, a + b, a - b, a * b, a ** n, three * a, a + LaurentPoly.one(),
+                  LaurentPoly(dict(a.terms())))
     if b:
-        _assert_exact((a * b).divide_exact(b), (a * b * 2).divide_exact(2 * b))
+        _assert_exact((a * b).divide_exact(b), (a * b * two).divide_exact(two * b))
     with pytest.raises(TypeError):
         LaurentPoly({0: flag})
     with pytest.raises(TypeError):

@@ -137,8 +137,8 @@ def test_verify_does_not_run_the_library_cross_check(monkeypatch, capsys):
     assert "PASS evar-shift (shift q^56)" in capsys.readouterr().out.splitlines()
 
 
-KERNEL = [(LaurentPoly, "__mul__"), (LaurentPoly, "__rmul__"), (LaurentPoly, "__add__"),
-          (LaurentPoly, "__sub__"), (LaurentPoly, "divide_exact"), (_SparsePoly, "_power")]
+KERNEL = [(LaurentPoly, "__mul__"), (LaurentPoly, "__add__"), (LaurentPoly, "__sub__"),
+          (LaurentPoly, "divide_exact"), (_SparsePoly, "_power")]
 
 
 @pytest.mark.parametrize("n,g", [*POINTS, (13, 4)])
