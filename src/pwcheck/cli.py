@@ -9,7 +9,11 @@ Exit codes: 0 all good, 1 a verification failed or a ksearch
 certificate failed, 2 usage or domain error, an unwritable --out or a
 failed write of stdout, 3 an internal error: any exception that is
 neither a DomainError nor a VerificationError is a bug, reported on
-stderr as "internal error: <Type>: <message>".
+stderr as "internal error: <Type>: <message>".  Inside verify such an
+exception fails the checks whose route or comparison raised it, as
+"FAIL <check> (error: <Type>: <message>)", and verify goes on and exits
+1; so exit 1 from verify can also mean a bug, or a route that ran out
+of memory ("error: MemoryError: ").
 
 A plain command line (the verb, then exact long flags, each once, with
 values that do not start with "-") is read without importing argparse,
@@ -92,11 +96,13 @@ def _compare(detail: str, left_name: str, a: LaurentPoly,
 
 
 def _palindromic(params: ModuliParams, e: LaurentPoly) -> tuple[bool, str]:
+    # A theorem of the bracket for every prime n and g >= 2: epoly.variant_bracket.
     weight = params.dim + 2 * params.type_shift
     return _compare(f"weight {weight}", "E", e, f"q^{weight}*E(1/q)", e.reverse(weight))
 
 
 def _euler(params: ModuliParams, profile: CohomologyProfile) -> tuple[bool, str]:
+    # E(1) of the bracket is -n^(2g-2), by epoly.variant_bracket's proof.
     value, chi = euler_variant(params), profile.euler()
     return chi == value, f"chi {value}" + ("" if chi == value else f"; the Betti numbers give {chi}")
 
@@ -105,7 +111,7 @@ def _support_bound(params: ModuliParams, profile: CohomologyProfile) -> tuple[bo
     low, high = profile.support()
     floor = 2 * params.curious_shift + 1
     top = params.dim - 1
-    # variant_bracket runs from q^1 to q^((n-1)(2g-2)-1), so the support is [floor, top].
+    # The support lemma in epoly.variant_bracket's docstring gives [floor, top].
     detail = f"[{low},{high}] within [{floor},{top}]"
     for end, value, bound in (("low", low, floor), ("high", high, top)):
         if value != bound:
@@ -114,6 +120,7 @@ def _support_bound(params: ModuliParams, profile: CohomologyProfile) -> tuple[bo
 
 
 def _curious(params: ModuliParams, profile: CohomologyProfile) -> tuple[bool, str]:
+    # The bracket's palindromy, read on the Betti numbers: epoly.variant_bracket.
     center = params.half_dim + params.curious_shift
     low, high = profile.support()
     detail = f"center {center}"
@@ -129,14 +136,17 @@ def _curious(params: ModuliParams, profile: CohomologyProfile) -> tuple[bool, st
 # of params and those routes' values that gives (passed, detail)).
 _CHECKS = {
     "palindromic": (("closed",), _palindromic),
+    # The diagonal is the bracket as A^2 - B^2, by epoly.variant_bracket's proof.
     "mirror-diagonal": (("mirror", "closed"), lambda params, mirror, e: _compare(
         "u=v=q", "mirror diagonal", mirror.diagonal(), "closed_e", e)),
+    # The hooks give the bracket, by epoly.variant_bracket's proof.
     "evar-shift": (("type", "closed"), lambda params, type_route, e: _compare(
         f"shift q^{params.type_shift}", "shifted type route",
         type_route * LaurentPoly({params.type_shift: 1}), "closed_e", e)),
     "euler": (("betti",), _euler),
     "support-bound": (("betti",), _support_bound),
     "curious-symmetry": (("betti",), _curious),
+    # One column, curious-symmetry moved by c: epoly.variant_bracket's proof.
     "pw": (("pw",), lambda params, report: (report.holds, report.verdict)),
 }
 

@@ -77,6 +77,42 @@ def variant_bracket(n: int, g: int) -> LaurentPoly:
     S^M = (1-q^n)^M / (1-q)^M is the series C(k+M-1, M-1) of 1/(1-q)^M
     plus its copies moved up by jn and scaled by (-1)^j C(M,j), for the
     j = 1..N//n (all below M) that reach degree N.
+
+    Every check of verify is a theorem of this bracket, for every prime n
+    and g >= 2; tests/test_epoly.py's support lemma test checks the lemma
+    on plain lists.  Write S = 1+q+...+q^{n-1} and s_k = [q^k]S^M.
+
+    Lemma: 0 <= s_k <= C(N,k), with equality at k = 0 and k = N, and,
+    for n >= 3, strict inequality for 0 < k < N.  The polynomial
+    P = (1+q)^{n-1} - S has coefficients C(n-1,j) - 1 >= 0, positive at
+    1 <= j <= n-2, and (1+q)^N - S^M is P times the sum of
+    (1+q)^{(n-1)a} S^b over a + b = M - 1.  Every product there has
+    nonnegative coefficients, and the one with a = M - 1 is positive
+    from q^1 to q^{N-1}.  For n = 2, S = 1+q and s_k = C(N,k).
+
+    Consequences.  N is even, so (q-1)^N has (-1)^k C(N,k) at q^k and the
+    bracket has (-1)^k (C(N,k) - (-1)^k s_k).  closed_e is the bracket
+    times (n^{2g}-1)/n > 0 and q^dim, and dim is even, so the Betti
+    number in degree dim - k is (n^{2g}-1)/n times C(N,k) - (-1)^k s_k.
+    - By the lemma no Betti number is negative, so variant_betti never
+      raises, and one is zero exactly at k = 0 and k = N (and at every
+      even k when n = 2).  dim - N = 2c, so the support is
+      [2c+1, dim-1]: support-bound.
+    - (q-1)^N, with N even, and S^M are both palindromic of degree N, so
+      closed_e is palindromic of weight 2 dim + N = dim + 2 type_shift:
+      palindromic.  On the Betti numbers, degrees dim - k and
+      dim - N + k agree, about the center dim - N/2 = half_dim + c:
+      curious-symmetry.
+    - At q = 1, (q-1)^N is 0 and S^M is n^M, so E(1), the alternating
+      sum of the Betti numbers, is -(n^{2g}-1) n^{2g-3}: euler.
+    - The mirror's diagonal is A(q)^2 - B(q)^2 with A^2 = (q-1)^N and
+      B^2 = S^M: mirror-diagonal.  Each family's hook over q-1, to the
+      power M, is q^{(n^2-n)(g-1)} times (q-1)^N (split) or S^M
+      (nonsplit), so q^type_shift times the type route is closed_e:
+      evar-shift.
+    - Both P=W tables lie in the one column c, where each criterion
+      condition is curious-symmetry moved by c or holds by the table's
+      shape, and tables_equal is evar-shift re-indexed: pw.
     """
     big_m = 2 * g - 2
     big_n = (n - 1) * big_m

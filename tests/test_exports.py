@@ -1,10 +1,20 @@
-"""The package's export list names exactly what the package binds."""
+"""The package's export list names exactly what the package binds, and
+a bare import of the package binds each export on its first read."""
 
 import ast
+import importlib
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import pwcheck
+
+# The package's modules that `pwcheck.<module>` gives after a bare import;
+# `cli` is not one of them.
+MODULES = sorted({path.stem for path in Path(pwcheck.__file__).parent.glob("*.py")}
+                 - {"__init__", "cli"})
 
 
 def test_all_is_sorted_and_matches_the_public_names():
@@ -57,3 +67,51 @@ def test_every_export_is_used_inside_the_package():
                   if name not in read and name not in KEPT_UNREAD) == []
     # Each allowance still names a method.
     assert KEPT_UNREAD.keys() <= {name for _, name in methods}
+
+
+def _is_package_module(name):
+    return name == "pwcheck" or name.startswith("pwcheck.")
+
+
+@pytest.fixture
+def fresh():
+    """The package imported anew, with none of its modules loaded; the
+    modules loaded before are put back afterwards."""
+    saved = {name: module for name, module in sys.modules.items() if _is_package_module(name)}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        yield importlib.import_module("pwcheck")
+    finally:
+        for name in [name for name in sys.modules if _is_package_module(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def test_a_bare_import_binds_an_export_on_its_first_read(fresh):
+    assert [name for name in sys.modules if _is_package_module(name)] == ["pwcheck"]
+    assert set(vars(fresh)).isdisjoint(fresh.__all__ + MODULES)
+    value = fresh.LaurentPoly
+    assert vars(fresh)["LaurentPoly"] is value
+
+
+def test_every_export_is_the_object_its_module_defines(fresh):
+    for name in fresh.__all__:
+        value = getattr(fresh, name)
+        module = sys.modules[value.__module__]
+        assert module is getattr(fresh, value.__module__.removeprefix("pwcheck.")), name
+        assert getattr(module, name) is value, name
+
+
+def test_every_module_resolves_as_an_attribute(fresh):
+    for module in MODULES:
+        assert getattr(fresh, module) is sys.modules[f"pwcheck.{module}"]
+
+
+def test_an_unknown_name_raises_attribute_error(fresh):
+    with pytest.raises(AttributeError, match="^module 'pwcheck' has no attribute 'no_such_name'$"):
+        fresh.no_such_name
+
+
+def test_dir_lists_every_export(fresh):
+    assert set(fresh.__all__ + MODULES) <= set(dir(fresh))

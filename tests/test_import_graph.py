@@ -14,6 +14,8 @@ parsed without it.  The child runs under `python -S`, because a `site`
 
 The package's own modules import each other in layers: the formulas
 (`epoly`) never reach the criteria that judge their tables (`filtration`).
+A bare `import pwcheck` loads none of them, and a name imported from the
+package loads its own module and the layers under it alone.
 """
 
 import ast
@@ -26,11 +28,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# argv[1] is the comma-separated module names to look for; the rest, if
-# any, is a pwcheck command line, which main() reads from sys.argv.
+# The program first runs an import statement, `import pwcheck` unless a
+# test gives another.  argv[1] is the comma-separated module names to
+# look for; the rest, if any, is a pwcheck command line, which main()
+# reads from sys.argv.
 PROGRAM = """
 import sys
-import pwcheck
+{statement}
 names = sys.argv.pop(1)
 code = 0
 if sys.argv[1:]:
@@ -46,10 +50,11 @@ sys.exit(code)
 VERIFY = ["verify", "--n", "5", "--g", "2"]
 
 
-def _loaded(names, argv=VERIFY):
-    """Those of names that `import pwcheck` and then a call with argv load."""
+def _loaded(names, argv=VERIFY, statement="import pwcheck"):
+    """Those of names that statement and then a call with argv load."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    result = subprocess.run([sys.executable, "-S", "-c", PROGRAM, ",".join(names), *argv],
+    program = PROGRAM.format(statement=statement)
+    result = subprocess.run([sys.executable, "-S", "-c", program, ",".join(names), *argv],
                             capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, check=False)
     assert result.returncode == 0, result.stderr
@@ -139,3 +144,16 @@ def test_every_module_has_a_layer():
 def test_a_module_imports_only_the_layers_below_it(module):
     imported = _package_imports(SRC / "pwcheck" / f"{module}.py")
     assert imported <= LAYERS[module], f"{module} imports {sorted(imported - LAYERS[module])}"
+
+
+# The package and every module in it, by the name it has in sys.modules.
+PACKAGE = ["pwcheck", *(f"pwcheck.{module}" for module in sorted(LAYERS.keys() | {"cli"}))]
+
+
+def test_a_bare_import_loads_no_module_of_the_package():
+    assert _loaded(PACKAGE, []) == "['pwcheck']"
+
+
+def test_an_imported_name_loads_its_module_and_the_layers_under_it():
+    assert _loaded(PACKAGE, [], "from pwcheck import LaurentPoly") == \
+        "['pwcheck', 'pwcheck._frozen', 'pwcheck.laurent']"
