@@ -89,7 +89,6 @@ def fresh():
 
 
 def test_a_bare_import_binds_an_export_on_its_first_read(fresh):
-    assert [name for name in sys.modules if _is_package_module(name)] == ["pwcheck"]
     assert set(vars(fresh)).isdisjoint(fresh.__all__ + MODULES)
     value = fresh.LaurentPoly
     assert vars(fresh)["LaurentPoly"] is value

@@ -85,16 +85,20 @@ def test_a_json_call_loads_no_json(argv):
     assert _loaded(["json", "json.decoder", "json.encoder"], argv) == "[]"
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param([], id="import-pwcheck"),
-    pytest.param(VERIFY, id="verify-text"),
-    pytest.param(["pw", "--n", "5", "--g", "2", "--format", "json"], id="pw-json"),
-    pytest.param(["epoly", "--n", "5", "--g", "2", "--format", "csv"], id="epoly-csv"),
-    pytest.param(["betti", "--n", "5", "--g", "2", "--format", "json"], id="betti-json"),
-    pytest.param(["ksearch"], id="ksearch"),
+@pytest.mark.parametrize("argv, statement", [
+    # verify_pw's module sits on every other layer, so this case imports
+    # each module of the package whatever the CLI loads.
+    pytest.param([], "from pwcheck import verify_pw", id="import-pwcheck"),
+    *(pytest.param(argv, "import pwcheck", id=case) for argv, case in [
+        (VERIFY, "verify-text"),
+        (["pw", "--n", "5", "--g", "2", "--format", "json"], "pw-json"),
+        (["epoly", "--n", "5", "--g", "2", "--format", "csv"], "epoly-csv"),
+        (["betti", "--n", "5", "--g", "2", "--format", "json"], "betti-json"),
+        (["ksearch"], "ksearch"),
+    ]),
 ])
-def test_no_call_loads_fractions_or_decimal(argv):
-    assert _loaded(["fractions", "decimal", "numbers"], argv) == "[]"
+def test_no_call_loads_fractions_or_decimal(argv, statement):
+    assert _loaded(["fractions", "decimal", "numbers"], argv, statement) == "[]"
 
 
 PLAIN = [
