@@ -12,8 +12,6 @@ or a subclass; and the two roots under which the package raises an
 input it refuses and a check it saw fail.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator, Mapping
 
 
@@ -112,7 +110,7 @@ class SparseMap(Frozen):
         object.__setattr__(self, "_c", data)
 
     @classmethod
-    def _of(cls, data: dict) -> SparseMap:
+    def _of(cls, data: dict) -> "SparseMap":
         """The map over data, which the caller has checked: normal keys, nonzero values."""
         self = object.__new__(cls)
         object.__setattr__(self, "_c", data)

@@ -22,8 +22,6 @@ form, help included, goes to the argparse parser, which gives the same
 namespace.
 """
 
-from __future__ import annotations
-
 import atexit
 import os
 import sys
@@ -152,7 +150,9 @@ _CHECKS = {
 
 
 def _verify_checks(params: ModuliParams) -> list[tuple[str, bool, str]]:
-    # Each route is built once per call; one that raises fails the checks that read it.
+    # Each builder is called once; one that raises fails the checks that read it.
+    # variant_betti and verify_pw rebuild their own inputs, so a call computes
+    # closed_e and variant_bracket 3 times, variant_betti and evar_type_route twice.
     routes: dict[str, object] = {}
     for route, build in (("closed", closed_e), ("mirror", mirror_difference),
                          ("type", evar_type_route), ("betti", variant_betti),

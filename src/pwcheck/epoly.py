@@ -6,8 +6,6 @@ variant (non-abelian) part of the cohomology, its two-variable mirror
 refinement, and the variant Betti numbers read off from it.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._frozen import DomainError, VerificationError, _Graded, _Record, require_int

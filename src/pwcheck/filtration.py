@@ -12,8 +12,6 @@ search is the plain reference enumeration of the small tables of a box,
 the oracle the certificate is tested against.
 """
 
-from __future__ import annotations
-
 import enum
 import itertools
 from collections.abc import Iterable, Iterator

@@ -13,8 +13,6 @@ on a misplaced cell.  Both sides read the bracket (q-1)^N - S^M, so they
 catch a kernel fault or a slip in one side, not a bracket wrong in both.
 """
 
-from __future__ import annotations
-
 from ._frozen import _Record
 from .epoly import (CohomologyProfile, InconsistentFormulaError, ModuliParams,
                     signed_profile, variant_betti)

@@ -8,8 +8,6 @@ Each family contributes a normalized hook polynomial, and the counted
 sum over both must reproduce the closed formula exactly.
 """
 
-from __future__ import annotations
-
 import enum
 
 from ._frozen import require_int

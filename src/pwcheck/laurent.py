@@ -15,8 +15,6 @@ q^2 - 4*q + 6 - 4*q^-1 + q^-2
 q - 2 + q^-1
 """
 
-from __future__ import annotations
-
 from ._frozen import SparseMap, VerificationError, is_int_pair, require_int
 
 
@@ -79,24 +77,24 @@ class _SparsePoly(SparseMap):
         return value
 
     @classmethod
-    def zero(cls) -> _SparsePoly:
+    def zero(cls) -> "_SparsePoly":
         return cls._of({})
 
     @classmethod
-    def one(cls) -> _SparsePoly:
+    def one(cls) -> "_SparsePoly":
         return cls._of({cls._UNIT: 1})
 
     terms = SparseMap.items  # (key, coefficient) pairs in increasing key order
 
-    def __neg__(self) -> _SparsePoly:
+    def __neg__(self) -> "_SparsePoly":
         return self._of({k: -c for k, c in self._c.items()})
 
-    def __sub__(self, other: object) -> _SparsePoly:
+    def __sub__(self, other: object) -> "_SparsePoly":
         if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
-    def _power(self, n: int) -> _SparsePoly:
+    def _power(self, n: int) -> "_SparsePoly":
         """Nonnegative integer power by binary exponentiation: one product
         per set bit of n, and a squaring of the base only while bits remain.
 

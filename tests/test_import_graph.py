@@ -6,7 +6,8 @@ is paid for on every call.  `dataclasses` alone pulled in `inspect`,
 `typing` is the next largest; `json` is needed only to read JSON, since
 JSON is written with the C string encoder of `_json` alone.  Every
 coefficient is an int, so `fractions` (with `decimal`, about 3.5 ms)
-and `numbers` are never needed.  `argparse`
+and `numbers` are never needed.  No module defers its annotations, so
+none imports `__future__`.  `argparse`
 (which loads `gettext` and, on its first message, `locale`) is about
 7 ms of start-up with its parser built, so a plain command line is
 parsed without it.  The child runs under `python -S`, because a `site`
@@ -98,7 +99,8 @@ def test_a_json_call_loads_no_json(argv):
     ]),
 ])
 def test_no_call_loads_fractions_or_decimal(argv, statement):
-    assert _loaded(["fractions", "decimal", "numbers"], argv, statement) == "[]"
+    # Nor __future__: no module defers its annotations.
+    assert _loaded(["fractions", "decimal", "numbers", "__future__"], argv, statement) == "[]"
 
 
 PLAIN = [

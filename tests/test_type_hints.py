@@ -1,10 +1,13 @@
 """Every annotation in the package resolves.
 
-The modules use ``from __future__ import annotations``, so an annotation
-is a string until something such as a documentation tool asks for it
-with ``typing.get_type_hints``; a name the module does not bind then
-raises ``NameError``.  An annotation names a builtin, such as ``int``
-for a coefficient, or a name its module imports.
+No module defers its annotations, so each is evaluated where it is
+written, and a module whose annotation names an unbound name fails to
+import.  A reference to the class being defined is quoted, as in
+``-> "LaurentPoly"``, and stays a string until something such as a
+documentation tool asks for it with ``typing.get_type_hints``; a quoted
+name the module does not bind then raises ``NameError``.  An annotation
+names a builtin, such as ``int`` for a coefficient, or a name its module
+imports or defines.
 """
 
 import typing
