@@ -1,18 +1,19 @@
 """The immutable-value core every pwcheck value class builds on.
 
 Stdlib only, and nothing from the package.  It holds every private
-value base: ``Frozen``; the sparse map of ``laurent``, with one checking
-constructor, one trusted ``_of`` and ``items``, the one reader in key
-order; the graded map of ``filtration`` and ``epoly``; and the record.
-The JSON form is written, never read: writing it takes the one C string
-encoder from ``_json``, imported where it is used, so that no call loads
-``json`` and a text or CSV call loads neither.  It also holds the one
-integer rule: an integer input is an exact ``int``, never a bool, a str
-or a subclass; and the two roots under which the package raises an
-input it refuses and a check it saw fail.
+value base: ``Frozen``, with the one equality and hash of every value;
+the sparse map of ``laurent``, with one checking constructor, one
+trusted ``_of`` and ``items``, the one reader in key order; the graded
+map of ``filtration`` and ``epoly``; and the record.  The JSON form is
+written, never read: writing it takes the one C string encoder from
+``_json``, imported where it is used, so that no call loads ``json`` and
+a text or CSV call loads neither; ``csv_text`` writes every CSV form.
+It also holds the one integer rule: an integer input is an exact
+``int``, never a bool, a str or a subclass; and the two roots under
+which the package raises an input it refuses and a check it saw fail.
 """
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 
 class DomainError(ValueError):
@@ -66,8 +67,15 @@ def compact_json(obj: object) -> str:
     return encode(obj)
 
 
+def csv_text(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """The header, then one line per row, each ending in a newline; a field is written
+    by str and never quoted, so it must hold no comma, quote or line break."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
 class Frozen:
-    """A value that no attribute can be set on or deleted from.
+    """A value that no attribute can be set on or deleted from, equal only
+    to a value of its own class with equal ``_args()``, and hashed by them.
 
     A subclass fills its slots with ``object.__setattr__`` in its
     constructor, and ``_args()`` returns the constructor arguments that
@@ -83,6 +91,14 @@ class Frozen:
 
     __delattr__ = __setattr__
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._args() == other._args()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._args())
+
     def __reduce__(self) -> tuple:
         return type(self), self._args()
 
@@ -92,10 +108,10 @@ class Frozen:
 
 class SparseMap(Frozen):
     """An immutable dict ``_c`` of nonzero entries, read by ``items``,
-    hashed and printed in key order.  The constructor checks each entry
-    of outside input with the subclass's ``_key`` and
-    ``_value(key, value)``; ``_of`` wraps a dict built from checked
-    entries.
+    hashed (not by ``_args()``: a dict has no hash) and printed in key
+    order.  The constructor checks each entry of outside input with the
+    subclass's ``_key`` and ``_value(key, value)``; ``_of`` wraps a dict
+    built from checked entries.
     """
 
     __slots__ = ("_c",)
@@ -121,11 +137,6 @@ class SparseMap(Frozen):
 
     def __bool__(self) -> bool:
         return bool(self._c)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, type(self)):
-            return self._c == other._c
-        return NotImplemented
 
     def items(self) -> Iterator[tuple[object, object]]:
         """(key, value) pairs in increasing key order."""
@@ -189,14 +200,6 @@ class _Record(Frozen):
 
     def _args(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is type(self):
-            return self._args() == other._args()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._args())
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -28,7 +28,7 @@ import sys
 import time
 from types import SimpleNamespace
 
-from ._frozen import DomainError, VerificationError, compact_json
+from ._frozen import DomainError, VerificationError, compact_json, csv_text
 from .epoly import (
     CohomologyProfile, ModuliParams, closed_e, euler_variant, mirror_difference, variant_betti)
 from .filtration import DEFAULT_BUDGET, Criterion, certify_criterion, count_search_tables
@@ -55,8 +55,7 @@ def cmd_epoly(args: SimpleNamespace) -> tuple[int, object]:
     if args.format == "json":
         return 0, poly.to_json_obj()
     if args.format == "csv":
-        return 0, "\n".join(["twice_exponent,coefficient",
-                             *(f"{2 * e},{c}" for e, c in poly.terms())])
+        return 0, csv_text("twice_exponent,coefficient", ((2 * e, c) for e, c in poly.terms()))
     return 0, str(poly)
 
 
@@ -189,13 +188,8 @@ def cmd_verify(args: SimpleNamespace) -> tuple[int, object]:
             "all_passed": not failed,
         }
     if args.format == "csv":
-        lines = ["check,passed"]
-        lines += [f"{name},{'true' if ok else 'false'}" for name, ok, _ in checks]
-        return code, "\n".join(lines)
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} {name} ({detail})"
-        for name, ok, detail in checks
-    ]
+        return code, csv_text("check,passed", ((name, str(ok).lower()) for name, ok, _ in checks))
+    lines = [f"{'PASS' if ok else 'FAIL'} {name} ({detail})" for name, ok, detail in checks]
     lines.append("all checks passed" if not failed
                  else f"{len(failed)} check(s) failed: {', '.join(failed)}")
     return code, "\n".join(lines)
@@ -235,7 +229,7 @@ def cmd_ksearch(args: SimpleNamespace) -> tuple[int, object]:
             "counterexamples": 0,
         }
     if args.format == "csv":
-        return 0, "criterion,m,k,i,j,value"
+        return 0, csv_text("criterion,m,k,i,j,value", ())
     return 0, "\n".join(
         f"criterion {name}: no counterexamples ({tables} tables, "
         f"m in [{args.m_min},{args.m_max}], k in [{args.k_min},{args.k_max}])"

@@ -8,7 +8,7 @@ refinement, and the variant Betti numbers read off from it.
 
 import math
 
-from ._frozen import DomainError, VerificationError, _Graded, _Record, require_int
+from ._frozen import DomainError, VerificationError, _Graded, _Record, csv_text, require_int
 from .laurent import BiLaurentPoly, LaurentPoly, _exact_quotient
 
 
@@ -184,9 +184,7 @@ class CohomologyProfile(_Graded):
         return sum(v if d % 2 == 0 else -v for d, v in self._c.items())
 
     def to_csv(self) -> str:
-        lines = ["degree,dimension"]
-        lines += [f"{d},{v}" for d, v in self.items()]
-        return "\n".join(lines) + "\n"
+        return csv_text("degree,dimension", self.items())
 
     def to_json_obj(self) -> dict[str, int]:
         return {str(d): v for d, v in self.items()}

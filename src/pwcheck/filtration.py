@@ -17,7 +17,7 @@ import itertools
 from collections.abc import Iterable, Iterator
 
 from ._frozen import (
-    DomainError, SparseMap, VerificationError, _Graded, _Record, is_int_pair, require_int)
+    DomainError, SparseMap, VerificationError, _Graded, _Record, csv_text, is_int_pair, require_int)
 
 # The most (table, m, k) cases a search visits unless given a budget.
 DEFAULT_BUDGET = 10 ** 7
@@ -55,9 +55,7 @@ class FiltrationTable(_Graded):
         return self._c.get((i, j), 0)
 
     def to_csv(self) -> str:
-        lines = ["i,j,value"]
-        lines += [f"{i},{j},{v}" for (i, j), v in self.items()]
-        return "\n".join(lines) + "\n"
+        return csv_text("i,j,value", ((i, j, v) for (i, j), v in self.items()))
 
     def to_json_obj(self) -> list[list[int]]:
         return [[i, j, v] for (i, j), v in self.items()]

@@ -89,11 +89,14 @@ def test_a_value_equals_no_int_and_no_dict(a, n):
 
 @given(polynomials, st.integers(-2, 2))
 def test_polynomial_arithmetic_with_an_int_raises(p, n):
-    for op in (operator.add, operator.sub, operator.mul):
-        with pytest.raises(TypeError):
-            op(p, n)
-        with pytest.raises(TypeError):
-            op(n, p)
+    # Nor with a polynomial of the other class, the constant 1 among them.
+    other_class = BiLaurentPoly({(0, 0): 1}) if type(p) is LaurentPoly else LaurentPoly({0: 1})
+    for other in (n, other_class):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(p, other)
+            with pytest.raises(TypeError):
+                op(other, p)
 
 
 class Small(enum.IntEnum):

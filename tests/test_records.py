@@ -77,11 +77,12 @@ def test_value_equality_and_hash(cls, values, text):
     record, same, other = cls(**values), cls(**values), cls(**_changed(values))
     assert record == same and not record != same and hash(record) == hash(same)
     assert record != other and not record == other
-    # Same class only: the field tuple, or a record of another class,
-    # is never equal.
+    # Same class only: the field tuple, a record of another class, or a
+    # sparse value, whose equality is the same rule, is never equal.
     fields = tuple(values.values())
     assert record != fields and record.__eq__(fields) is NotImplemented
-    for stranger in (ModuliParams(3, 2), CriterionReport(**WEIGHT_CHECK)):
+    for stranger in (ModuliParams(3, 2), CriterionReport(**WEIGHT_CHECK),
+                     FiltrationTable({(3, 2): 30})):
         if type(stranger) is not cls:
             assert record != stranger and record.__eq__(stranger) is NotImplemented
     assert len({record, same, other}) == 2
