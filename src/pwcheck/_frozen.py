@@ -1,16 +1,18 @@
 """The immutable-value core every pwcheck value class builds on.
 
-Stdlib only, and nothing from the package.  It holds every private
-value base: ``Frozen``, with the one equality and hash of every value;
-the sparse map of ``laurent``, with one checking constructor, one
-trusted ``_of`` and ``items``, the one reader in key order; the graded
-map of ``filtration`` and ``epoly``; and the record.  The JSON form is
-written, never read: writing it takes the one C string encoder from
-``_json``, imported where it is used, so that no call loads ``json`` and
-a text or CSV call loads neither; ``csv_text`` writes every CSV form.
-It also holds the one integer rule: an integer input is an exact
-``int``, never a bool, a str or a subclass; and the two roots under
-which the package raises an input it refuses and a check it saw fail.
+Stdlib only, and nothing from the package.  It holds every private value
+base: ``Frozen``, with the one equality and hash of every value; the
+sparse map of ``laurent``, with one checking constructor, one trusted
+``_of``, ``items``, the one reader in key order, and ``_key_bounds``, the
+one reader of the least and greatest key (``LaurentPoly.degree_bounds``,
+``CohomologyProfile.support``); the graded map of ``filtration`` and
+``epoly``; and the record.  The JSON form is written, never read: writing
+it takes the one C string encoder from ``_json``, imported where it is
+used, so that no call loads ``json`` and a text or CSV call loads
+neither; ``csv_text`` writes every CSV form.  It also holds the one
+integer rule: an integer input is an exact ``int``, never a bool, a str
+or a subclass; and the two roots under which the package raises an input
+it refuses and a check it saw fail.
 """
 
 from collections.abc import Iterable, Iterator, Mapping
@@ -142,6 +144,12 @@ class SparseMap(Frozen):
         """(key, value) pairs in increasing key order."""
         for key in sorted(self._c):
             yield key, self._c[key]
+
+    def _key_bounds(self) -> tuple[object, object]:
+        """(least, greatest) key; ValueError on an empty map."""
+        if not self._c:
+            raise ValueError(f"an empty {type(self).__name__} has no least or greatest key")
+        return min(self._c), max(self._c)
 
     def __hash__(self) -> int:
         return hash(tuple(self.items()))

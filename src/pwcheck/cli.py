@@ -196,8 +196,7 @@ def cmd_verify(args: SimpleNamespace) -> tuple[int, object]:
 
 
 def cmd_ksearch(args: SimpleNamespace) -> tuple[int, object]:
-    which = ([Criterion.FIRST, Criterion.SECOND] if args.criterion == "both"
-             else [Criterion(args.criterion)])
+    which = list(Criterion) if args.criterion == "both" else [Criterion(args.criterion)]
     m_range = range(args.m_min, args.m_max + 1)
     k_range = range(args.k_min, args.k_max + 1)
     tables = count_search_tables(args.i_max, args.j_max, args.v_max,
@@ -262,7 +261,7 @@ _SEARCH = {
     "--m-max": (int, 3, None),
     "--k-min": (int, 0, None),
     "--k-max": (int, 2, None),
-    "--budget": (int, DEFAULT_BUDGET, "abort if the case count exceeds this"),
+    "--budget": (int, DEFAULT_BUDGET, "refuse a box of more (table, m, k) cases than this"),
 }
 # verb -> (cmd_* function, help text, options), in --help's order.
 _VERBS = {
@@ -270,8 +269,7 @@ _VERBS = {
     "betti": (cmd_betti, "variant Betti numbers", _MODULI),
     "pw": (cmd_pw, "perverse/weight tables and their comparison", _MODULI),
     "verify": (cmd_verify, "run every identity check", _MODULI),
-    "ksearch": (cmd_ksearch, "search small tables for criterion counterexamples",
-                _SEARCH),
+    "ksearch": (cmd_ksearch, "certify the criteria on a box", _SEARCH),
 }
 
 
@@ -377,10 +375,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_direct(argv)
     if args is None:
         args = build_parser().parse_args(argv, SimpleNamespace())
-    # An unwritable --out is refused before the work.  Opening for append
-    # creates a missing file, empty, and leaves an existing file's bytes
-    # alone; they are replaced only once the output is ready.
-    if args.out and not _write(args.out, "a", ""):
+    # An unwritable --out, the empty path among them, is refused before
+    # the work.  Opening for append creates a missing file, empty, and
+    # leaves an existing file's bytes alone; they are replaced only once
+    # the output is ready.
+    if args.out is not None and not _write(args.out, "a", ""):
         return 2
     try:
         code, output = args.func(args)

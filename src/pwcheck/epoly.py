@@ -174,11 +174,7 @@ class CohomologyProfile(_Graded):
     def __getitem__(self, degree: int) -> int:
         return self._c.get(degree, 0)
 
-    def support(self) -> tuple[int, int]:
-        """(lowest, highest) degree with a nonzero group; raises if empty."""
-        if not self._c:
-            raise ValueError("empty profile has no support")
-        return min(self._c), max(self._c)
+    support = _Graded._key_bounds  # (lowest, highest) degree with a nonzero group; raises if empty
 
     def euler(self) -> int:
         return sum(v if d % 2 == 0 else -v for d, v in self._c.items())

@@ -308,14 +308,6 @@ def certify_criterion(which: Criterion, i_max: int, j_max: int, m_range: Iterabl
                     raise failure((i, k), f"not tied to row {r} by condition ({column})")
 
 
-def _read_once(values: Iterable[int]) -> range | set:
-    """The values, read once: a range as it is, anything else as a set.
-
-    A range is checked at its two ends and counted from them, so a guard
-    on it builds nothing as long as the range."""
-    return values if isinstance(values, range) else set(values)
-
-
 def _ends(values: range | set) -> Iterable[int]:
     return (values[0], values[-1]) if isinstance(values, range) and values else values
 
@@ -329,7 +321,12 @@ def _require_box(bounds: tuple[int, ...], m_range: Iterable[int], k_range: Itera
                  budget: int = 0) -> tuple[range | set, range | set]:
     """The m and the k values, read once, once the box is checked: refuse
     a bound that is not an int, a budget that is not an int, a negative
-    bound, an m or k out of range and an empty range, in that order."""
+    bound, an m or k out of range and an empty range, in that order.
+
+    This is the one place a range argument is read: a range as it is,
+    anything else as a set.  A range is checked at its two ends and
+    counted from them, so a guard on it builds nothing as long as the
+    range."""
     for bound in bounds:
         if type(bound) is not int:
             raise DomainError(f"grid bound {bound!r} must be an int")
@@ -337,7 +334,7 @@ def _require_box(bounds: tuple[int, ...], m_range: Iterable[int], k_range: Itera
         raise DomainError(f"budget {budget!r} must be an int")
     if min(bounds) < 0:
         raise DomainError("grid bounds must be nonnegative")
-    ms, ks = _read_once(m_range), _read_once(k_range)
+    ms, ks = (r if isinstance(r, range) else set(r) for r in (m_range, k_range))
     for m in _ends(ms):
         _require_mk(m, 0)
     for k in _ends(ks):
@@ -393,7 +390,7 @@ def falsification_search(which: Criterion, i_max: int, j_max: int, v_max: int,
     without per-cell validation; each hit is rebuilt through the
     FiltrationTable constructor, so all that is returned is checked.
     """
-    ms, ks = _read_once(m_range), _read_once(k_range)
+    ms, ks = _require_box((i_max, j_max, v_max), m_range, k_range, budget)
     count_search_tables(i_max, j_max, v_max, ms, ks, budget)
     cases = [(m, k) for m in sorted(ms) for k in sorted(ks)]  # after the check
     cells = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)]

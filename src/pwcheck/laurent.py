@@ -1,12 +1,14 @@
 """Exact Laurent polynomials in one or two variables over the integers.
 
 Exponents are integers: the key ``3`` means ``q**3``.  Every coefficient is
-an exact ``int``, never a float, so equality is exact; a division that
-would leave the integers raises InexactDivisionError.  A polynomial equals,
-adds to and multiplies only a polynomial of its own class, never an int:
-``Frozen`` holds the equality and ``_SparsePoly`` the one ``+``.  The JSON
-form of a LaurentPoly, which is written and never read, holds each
-coefficient as its decimal str and each exponent doubled for compatibility.
+an exact ``int``, never a float, so equality is exact; a division that would
+leave the integers raises InexactDivisionError.  A polynomial equals, adds
+to and multiplies only a polynomial of its own class, never an int:
+``Frozen`` holds the equality and ``_SparsePoly`` the one ``+``;
+``_monomial`` writes every monomial and ``SparseMap`` reads the degree
+bounds.  The JSON form of a LaurentPoly, which is written and never read,
+holds each coefficient as its decimal str and each exponent doubled for
+compatibility.
 
 >>> p = LaurentPoly({1: 1, 0: -2, -1: 1})      # q - 2 + q**-1
 >>> print(p * p)
@@ -35,22 +37,17 @@ def _normal(data: dict) -> dict:
     return {k: c for k, c in data.items() if c}
 
 
-def _format_q_power(e: int) -> str:
-    if e == 0:
-        return ""
-    return "q" if e == 1 else f"q^{e}"
+def _monomial(exponents: tuple[int, ...], names: str) -> str:
+    """The monomial with these exponents on the variables named by the
+    letters of names, "" for 1: ``_monomial((1, -2), "uv")`` is ``u*v^-2``."""
+    return "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, exponents) if e)
 
 
 def _format_terms(pairs: list[tuple[str, int]]) -> str:
     out: list[str] = []
     for power, coeff in pairs:
         mag = abs(coeff)
-        if not power:
-            body = str(mag)
-        elif mag == 1:
-            body = power
-        else:
-            body = f"{mag}*{power}"
+        body = str(mag) if not power else power if mag == 1 else f"{mag}*{power}"
         if not out:
             out.append(body if coeff > 0 else f"-{body}")
         else:
@@ -149,14 +146,10 @@ class LaurentPoly(_SparsePoly):
 
     # -- inspection --------------------------------------------------
 
-    def degree_bounds(self) -> tuple[int, int]:
-        """(min, max) exponent of the support; raises on zero."""
-        if not self._c:
-            raise ValueError("the zero polynomial has no degree bounds")
-        return min(self._c), max(self._c)
+    degree_bounds = SparseMap._key_bounds  # (min, max) exponent; raises on zero
 
     def __str__(self) -> str:
-        pairs = [(_format_q_power(t), c) for t, c in sorted(self._c.items(), reverse=True)]
+        pairs = [(_monomial((t,), "q"), c) for t, c in sorted(self._c.items(), reverse=True)]
         return _format_terms(pairs)
 
     # -- ring operations ---------------------------------------------
@@ -245,14 +238,9 @@ class BiLaurentPoly(_SparsePoly):
         return key
 
     def __str__(self) -> str:
-        def power(key: tuple[int, int]) -> str:
-            parts = [s for s in (_format_q_power(key[0]).replace("q", "u"),
-                                 _format_q_power(key[1]).replace("q", "v")) if s]
-            return "*".join(parts)
-
         order = sorted(self._c.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]),
                        reverse=True)
-        return _format_terms([(power(k), c) for k, c in order])
+        return _format_terms([(_monomial(k, "uv"), c) for k, c in order])
 
     def __mul__(self, other: object) -> "BiLaurentPoly":
         if not isinstance(other, BiLaurentPoly):

@@ -398,6 +398,11 @@ def test_unwritable_out_is_refused_before_the_verb_runs(capsys, monkeypatch, tmp
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and str(target) in err
     assert not target.exists()
+    # The empty path, on the plain-line reader and on argparse's path.
+    for out_args in (["--out", ""], ["--out="]):
+        code, out, err = run(capsys, *_argv(verb), *out_args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -434,7 +439,7 @@ def test_help_lists_every_verb_in_order(capsys):
         ("betti", "variant Betti numbers"),
         ("pw", "perverse/weight tables and their comparison"),
         ("verify", "run every identity check"),
-        ("ksearch", "search small tables for criterion counterexamples"),
+        ("ksearch", "certify the criteria on a box"),
     ]
     # compare word by word: argparse wraps and pads by terminal width
     listing = " ".join(f"{verb} {help_text}" for verb, help_text in verbs)

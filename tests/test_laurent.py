@@ -44,6 +44,18 @@ def test_basic_arithmetic():
     assert p ** 1 == p
 
 
+@pytest.mark.parametrize("poly, text", [
+    (LaurentPoly({2: -1, 1: 3, 0: 1, -1: -1, -3: 2}), "-q^2 + 3*q + 1 - q^-1 + 2*q^-3"),
+    (LaurentPoly({}), "0"),
+    (BiLaurentPoly({(-1, 0): 1, (0, -2): -3, (1, 1): 2, (0, 0): 5}),
+     "2*u*v + 5 + u^-1 - 3*v^-2"),
+    (BiLaurentPoly({(2, -1): -1, (0, 1): 1, (0, 0): -1}), "-u^2*v^-1 + v - 1"),
+    (BiLaurentPoly({}), "0"),
+], ids=["q", "q-zero", "uv-negative", "uv-mixed", "uv-zero"])
+def test_str_writes_every_monomial(poly, text):
+    assert str(poly) == text
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError, match="^coefficient 0.5 must be an int$"):
         LaurentPoly({0: 0.5})
